@@ -25,3 +25,27 @@ def laguerre_derivative_series(k, x):
     for m in range(1, k + 1):
         total += Fraction((-1) ** m * math.comb(k, m), math.factorial(m)) * m * x ** (m - 1)
     return total
+
+
+def recurrence_scaled_stepwise(k, x):
+    """Scalar (L_{k-1}, L_k) mantissas, shift and step, renormalized every step.
+
+    The straightforward loop that avgkernel.laguerre._recurrence_scaled
+    speeds up: it rescales by a power of two whenever a term leaves
+    [2**-512, 2**512].  Power-of-two rescaling is exact, so both must give
+    the same values prev * 2**shift, cur * 2**shift and step * 2**shift.
+    """
+    big, small = 2.0**512, 2.0**-512
+    prev, cur, shift = 1.0, 1.0 - x, 0
+    step = max(abs(cur), 1.0)
+    for n in range(1, k):
+        t1 = (2 * n + 1 - x) * cur
+        t2 = n * prev
+        prev, cur = cur, (t1 - t2) / (n + 1)
+        step = max(abs(t1), abs(t2)) / (n + 1)
+        m = max(abs(prev), abs(cur), step)
+        if m > big or m < small:
+            _, e = math.frexp(m)
+            prev, cur, step = math.ldexp(prev, -e), math.ldexp(cur, -e), math.ldexp(step, -e)
+            shift += e
+    return prev, cur, shift, step

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from avgkernel.laguerre import (
     ScaledValue,
+    _recurrence_scaled,
     laguerre_derivative,
     laguerre_derivative_scaled,
     laguerre_eval,
@@ -11,7 +13,7 @@ from avgkernel.laguerre import (
 )
 from fractions import Fraction
 
-from support import laguerre_derivative_series, laguerre_series
+from support import laguerre_derivative_series, laguerre_series, recurrence_scaled_stepwise
 
 SAMPLE_X = (Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(5), Fraction(21, 2))
 
@@ -73,6 +75,29 @@ def test_scaled_overflow_is_explicit():
     assert sv.exponent > 1024  # beyond any finite double
     with pytest.raises(OverflowError):
         float(sv)
+
+
+def _normalized_values(prev, cur, shift, step):
+    """(mantissa, exponent) of each of the three scaled values."""
+    out = []
+    for v in (prev, cur, step):
+        m, e = math.frexp(v)
+        out.append((m, e + shift if m else 0))
+    return out
+
+
+def test_recurrence_matches_stepwise_reference_bitwise():
+    # scalar and array calls give exactly the values of the loop that
+    # renormalizes after every step, including far beyond double range
+    xs = [0.0, 1e-3, 0.5, 3.0, 40.0, 250.0, 1200.0, 1400.0, 1590.0]
+    for k in (1, 2, 7, 80, 361, 400):
+        expected = [_normalized_values(*recurrence_scaled_stepwise(k, x)) for x in xs]
+        assert [_normalized_values(*_recurrence_scaled(k, x)) for x in xs] == expected
+        prev, cur, shift, step = _recurrence_scaled(k, np.array(xs))
+        assert prev.shape == cur.shape == shift.shape == step.shape == (len(xs),)
+        got = [_normalized_values(float(p), float(c), int(s), float(t))
+               for p, c, s, t in zip(prev, cur, shift, step)]
+        assert got == expected
 
 
 def test_derivative_matches_exact_series():

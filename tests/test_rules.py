@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -87,6 +88,15 @@ def test_nodes_inside_support(cache_dir):
         assert rule.nodes[-1] < 4.0 * k + 2.0
 
 
+def test_nodes_interlace_up_to_order_361(cache_dir):
+    prev = load_or_compute_rule(1, cache_dir)
+    for k in range(2, 362):
+        rule = load_or_compute_rule(k, cache_dir)
+        assert np.all(rule.nodes[:-1] < prev.nodes), k
+        assert np.all(prev.nodes < rule.nodes[1:]), k
+        prev = rule
+
+
 def test_recomputation_is_bitwise_deterministic():
     a = compute_rule(17)
     b = compute_rule(17)
@@ -102,6 +112,36 @@ def test_matches_scipy(cache_dir):
         assert np.max(np.abs(rule.nodes - x_ref)) <= 1e-10
         nz = w_ref > 0
         assert np.max(np.abs(rule.weights[nz] / w_ref[nz] - 1.0)) <= 1e-9
+
+
+def test_matches_scipy_at_high_order(cache_dir):
+    roots_laguerre = pytest.importorskip("scipy.special").roots_laguerre
+    for k in (200, 361):
+        rule = load_or_compute_rule(k, cache_dir)
+        x_ref, w_ref = roots_laguerre(k)
+        assert np.max(np.abs(rule.nodes / x_ref - 1.0)) <= 2e-12
+        both = (w_ref > 1e-250) & (rule.weights > 1e-250)
+        assert np.max(np.abs(rule.weights[both] / w_ref[both] - 1.0)) <= 1e-9
+
+
+def test_scalar_fallback_builds_the_same_rule(monkeypatch):
+    normal = {k: compute_rule(k) for k in (10, 120)}
+    # the vectorized pass accepts nothing: every node takes _locate_root
+    monkeypatch.setattr(rules, "_polish", lambda k, z: (z.copy(), np.zeros(k, dtype=bool)))
+    calls = []
+    locate = rules._locate_root
+
+    def counted(*args):
+        calls.append(args)
+        return locate(*args)
+
+    monkeypatch.setattr(rules, "_locate_root", counted)
+    for k, rule in normal.items():
+        calls.clear()
+        forced = compute_rule(k)
+        assert len(calls) == k
+        assert rules._invariant_problem(k, forced.nodes, forced.weights) is None
+        assert np.max(np.abs(forced.nodes / rule.nodes - 1.0)) <= 1e-12
 
 
 def test_high_order_tail_weights_flush_to_zero():
@@ -139,12 +179,32 @@ def test_cache_round_trip(tmp_path):
 def test_cache_file_layout(tmp_path):
     load_or_compute_rule(3, tmp_path)
     lines = (tmp_path / "glq_3.csv").read_text().splitlines()
-    assert lines[0] == "# gauss-laguerre order=3 flushed=0 version=1"
+    assert lines[0] == "# gauss-laguerre order=3 flushed=0 version=2"
     assert len(lines) == 5
     assert lines[-1].startswith("# sha256=")
     for row in lines[1:4]:
         x, w = row.split(",")
         float(x), float(w)
+
+
+def test_version_1_cache_file_is_rebuilt(tmp_path, monkeypatch):
+    load_or_compute_rule(5, tmp_path)
+    path = tmp_path / "glq_5.csv"
+    current = path.read_text()
+    body = current[: current.rfind("# sha256=")].replace("version=2", "version=1")
+    path.write_text(f"{body}# sha256={hashlib.sha256(body.encode('ascii')).hexdigest()}\n")
+
+    builds = []
+    compute = rules.compute_rule
+
+    def counted(k):
+        builds.append(k)
+        return compute(k)
+
+    monkeypatch.setattr(rules, "compute_rule", counted)
+    load_or_compute_rule(5, tmp_path)
+    assert builds == [5]
+    assert path.read_text() == current
 
 
 def test_cache_hit_skips_recompute(tmp_path, monkeypatch):
