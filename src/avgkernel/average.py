@@ -5,6 +5,8 @@ p is half the Gauss-Laguerre double integral of the kernel.  The oracle
 recomputes the same average from its defining volume integral with a
 truncated composite midpoint rule, a deliberately different quadrature
 family, so agreement between the two is evidence rather than tautology.
+Both evaluate the kernel on a node column and a node row: per-node work in
+the kernel runs once per node, and numpy broadcasting forms the grid.
 """
 
 from __future__ import annotations
@@ -91,6 +93,13 @@ def _midpoint_axis(u: float, n_points: int):
 
 
 def _midpoint_average(spec: KernelSpec, u: float, n_points: int) -> float:
+    """Midpoint-rule average over 512-row blocks of the x-by-y grid.
+
+    The kernel gets a column of up to 512 x midpoints and the row of all
+    n_points+1 y midpoints, so its per-node leaves (cbrt, powers) run once
+    per midpoint and each binary operation makes one 512 x (n_points+1)
+    array.  A kernel that ignores x or y is broadcast to the full block.
+    """
     mx, wx = _midpoint_axis(u, n_points)
     my, wy = _midpoint_axis(u, n_points + 1)  # offset keeps x != y exactly
     fx = wx * np.exp(-mx / u)
@@ -99,9 +108,8 @@ def _midpoint_average(spec: KernelSpec, u: float, n_points: int) -> float:
     for lo in range(0, len(mx), 512):
         hi = min(lo + 512, len(mx))
         shape = (hi - lo, len(my))
-        block = eval_kernel(spec, np.broadcast_to(mx[lo:hi, None], shape),
-                            np.broadcast_to(my[None, :], shape))
-        block = np.asarray(block, dtype=float)
+        block = np.asarray(eval_kernel(spec, mx[lo:hi, None], my[None, :]),
+                           dtype=float)
         if block.shape != shape:
             block = np.broadcast_to(block, shape)
         total += float(fx[lo:hi] @ block @ fy)

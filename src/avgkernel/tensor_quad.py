@@ -28,8 +28,9 @@ class ConvergenceSeries:
 
 
 def _eval_on(f, x, y=None):
-    """Evaluate f over node arrays, falling back to scalar calls."""
-    shape = x.shape
+    """Evaluate f over node arrays, broadcast to their shape, falling back
+    to scalar calls."""
+    shape = x.shape if y is None else np.broadcast_shapes(x.shape, y.shape)
     try:
         vals = f(x) if y is None else f(x, y)
         arr = np.asarray(vals, dtype=float)
@@ -38,6 +39,8 @@ def _eval_on(f, x, y=None):
         return arr
     except (TypeError, ValueError):
         pass
+    if y is not None:
+        x, y = np.broadcast_arrays(x, y)
     arr = np.empty(shape)
     flat_x = x.ravel()
     out = arr.ravel()
@@ -64,11 +67,12 @@ def integrate_1d(rule: QuadratureRule, f) -> float:
 
 
 def integrate_2d(rule: QuadratureRule, f) -> float:
-    """Tensor-product double sum sum_i sum_j A_i A_j f(x_i, x_j)."""
-    x = rule.nodes[:, None]
-    y = rule.nodes[None, :]
-    vals = _eval_on(f, np.broadcast_to(x, (rule.order, rule.order)),
-                    np.broadcast_to(y, (rule.order, rule.order)))
+    """Tensor-product double sum sum_i sum_j A_i A_j f(x_i, x_j).
+
+    f gets a k x 1 node column and a 1 x k node row, so per-node work runs
+    k times, not k*k; it may return any shape that broadcasts to k x k.
+    """
+    vals = _eval_on(f, rule.nodes[:, None], rule.nodes[None, :])
     if not np.all(np.isfinite(vals)):
         i, j = np.argwhere(~np.isfinite(vals))[0]
         raise IntegrandError(

@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Print one sha256 of standard output per CLI invocation of a corpus.
+
+    python3 tests/stdout_corpus.py SRC > corpus.txt
+
+SRC is the `src` directory of an avgkernel checkout.  The corpus runs every
+subcommand in csv and json: `rule` and `table3` once each, and `converge`,
+`report` and `check` for the four builtins and two expression kernels, all
+at order 60, on a fresh temporary rule cache.  Each output line is
+"<sha256 of stdout> rc=<exit code> <arguments>", so the corpora of two
+checkouts, compared with diff, show every invocation whose output changed.
+A refactor that must keep stdout byte-identical runs it on both sides.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ORDER = "60"
+KERNELS = (
+    "FM", "CR", "SC", "SD",
+    "(x^(-1/3)+y^(-1/3))*(x^(2/3)+y^(2/3))",
+    "(x^(1/6)+y^(1/6))*(x^(1/3)+y^(1/3))",
+)
+
+
+def invocations():
+    for fmt in ("csv", "json"):
+        yield ["rule", "--points", ORDER, "--format", fmt]
+        yield ["table3", "--max-points", ORDER, "--format", fmt]
+        for command in ("converge", "report", "check"):
+            for kernel in KERNELS:
+                yield [command, "--kernel", kernel, "--max-points", ORDER,
+                       "--format", fmt]
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    src = Path(sys.argv[1]).resolve()
+    if not (src / "avgkernel" / "cli.py").is_file():
+        print(f"stdout_corpus: no avgkernel package under {src}", file=sys.stderr)
+        return 2
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with tempfile.TemporaryDirectory(prefix="avgkernel-corpus-") as cache:
+        for args in invocations():
+            proc = subprocess.run(
+                [sys.executable, "-m", "avgkernel", *args, "--cache-dir", cache],
+                env=env, capture_output=True, check=False,
+            )
+            digest = hashlib.sha256(proc.stdout).hexdigest()
+            print(f"{digest} rc={proc.returncode} {' '.join(args)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,12 +1,19 @@
-"""Exact-arithmetic oracles shared by the test modules.
+"""Reference implementations shared by the test modules.
 
 The explicit series for L_k and its derivative are evaluated in Fraction
 arithmetic, so they are exact for rational arguments and immune to the
-cancellation that limits the float recurrence.
+cancellation that limits the float recurrence.  The stepwise recurrence and
+the full-grid sums are the straightforward forms of faster package code,
+which must reproduce them bit for bit.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from avgkernel.average import _midpoint_axis
+from avgkernel.kernels import eval_kernel
 
 
 def laguerre_series(k, x):
@@ -49,3 +56,38 @@ def recurrence_scaled_stepwise(k, x):
             prev, cur, step = math.ldexp(prev, -e), math.ldexp(cur, -e), math.ldexp(step, -e)
             shift += e
     return prev, cur, shift, step
+
+
+def _on_full_grid(f, x, y):
+    """f evaluated on the full grids of column x and row y, as an array of
+    their broadcast shape."""
+    gx, gy = np.broadcast_arrays(x, y)
+    vals = np.asarray(f(gx, gy), dtype=float)
+    return np.broadcast_to(vals, gx.shape)
+
+
+def integrate_2d_full_grid(rule, f):
+    """avgkernel.tensor_quad.integrate_2d with f called on two k x k grids.
+
+    The package passes f the node column and row instead, so per-node work
+    in f runs k times, not k*k; the elementwise values and the summation
+    order are the same, so both must give the same sum.
+    """
+    vals = _on_full_grid(f, rule.nodes[:, None], rule.nodes[None, :])
+    return float(np.sum(np.outer(rule.weights, rule.weights) * vals))
+
+
+def midpoint_average_full_grid(spec, u, n_points):
+    """avgkernel.average._midpoint_average with the kernel called on full
+    512-row grid blocks instead of a column and a row."""
+    mx, wx = _midpoint_axis(u, n_points)
+    my, wy = _midpoint_axis(u, n_points + 1)
+    fx = wx * np.exp(-mx / u)
+    fy = wy * np.exp(-my / u)
+    total = 0.0
+    for lo in range(0, len(mx), 512):
+        hi = min(lo + 512, len(mx))
+        block = _on_full_grid(lambda x, y: eval_kernel(spec, x, y),
+                              mx[lo:hi, None], my[None, :])
+        total += float(fx[lo:hi] @ block @ fy)
+    return total / (2.0 * u * u)

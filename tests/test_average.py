@@ -1,17 +1,21 @@
 import dataclasses
+import math
 
 import pytest
 
 from avgkernel.average import (
     AverageKernelResult,
     ResolutionError,
+    _midpoint_average,
     average_kernel,
     population_average_oracle,
     pre_exponential_factor,
 )
 from avgkernel.extrapolate import full_report
 from avgkernel.kernels import builtin_kernel, eval_kernel, parse_kernel
-from avgkernel.tensor_quad import convergence_series
+from avgkernel.rules import load_or_compute_rule
+from avgkernel.tensor_quad import convergence_series, integrate_2d
+from support import integrate_2d_full_grid, midpoint_average_full_grid
 
 # closed forms precomputed with a 50-digit library: 2 + 6*gamma(5/3)*gamma(4/3)
 # halved, and 2 + 2*gamma(4/3)*gamma(2/3) halved
@@ -73,6 +77,36 @@ def test_average_kernel_rejects_bad_u():
         average_kernel(result, 0.0)
     with pytest.raises(ValueError):
         average_kernel(result, -2.0)
+
+
+@pytest.mark.parametrize("kernel", [
+    "FM", "CR", "SC", "SD",
+    "(x^(-1/3)+y^(-1/3))*(x^(2/3)+y^(2/3))",
+    "(x^(1/6)+y^(1/6))*(x^(1/3)+y^(1/3))",
+])
+def test_column_and_row_evaluation_matches_full_grid_bitwise(kernel, cache_dir):
+    # the kernel gets a node column and row, not two full grids; every
+    # element and the summation order are unchanged, so the sums are equal
+    spec = builtin_kernel(kernel) if kernel.isalpha() else parse_kernel(kernel)
+
+    def f(x, y):
+        return eval_kernel(spec, x, y)
+
+    for k in (1, 2, 37, 120, 361):
+        rule = load_or_compute_rule(k, cache_dir)
+        assert integrate_2d(rule, f) == integrate_2d_full_grid(rule, f)
+    # 1200 points span three 512-row blocks
+    for u, n_points in ((0.5, 256), (2.0, 256), (1.0, 1200)):
+        got = _midpoint_average(spec, u, n_points)
+        assert got == midpoint_average_full_grid(spec, u, n_points)
+
+
+def test_midpoint_average_of_constant_kernel():
+    # a constant kernel returns a scalar, which is broadcast to the block
+    spec = parse_kernel("q=0; 2")
+    got = _midpoint_average(spec, 1.0, 256)
+    assert math.isfinite(got)
+    assert got == midpoint_average_full_grid(spec, 1.0, 256)
 
 
 def test_oracle_constant_kernel():

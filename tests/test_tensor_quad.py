@@ -80,6 +80,16 @@ def test_2d_scalar_fallback(cache_dir):
     assert scal == vec
 
 
+def test_2d_integrands_that_ignore_an_argument(cache_dir):
+    # integrands that return a scalar, a column or a row, not a full grid
+    rule = load_or_compute_rule(9, cache_dir)
+    total = float(np.sum(rule.weights))
+    assert integrate_2d(rule, lambda x, y: 2.0) == pytest.approx(2.0 * total**2, rel=1e-14)
+    mean = integrate_1d(rule, lambda x: x)
+    assert integrate_2d(rule, lambda x, y: x) == pytest.approx(mean * total, rel=1e-14)
+    assert integrate_2d(rule, lambda x, y: y) == pytest.approx(mean * total, rel=1e-14)
+
+
 def test_integrand_error_2d_names_pair(cache_dir):
     rule = load_or_compute_rule(8, cache_dir)
     bx, by = rule.nodes[1], rule.nodes[4]
