@@ -8,6 +8,7 @@ invocations; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from fractions import Fraction
@@ -24,8 +25,38 @@ from .rules import default_cache_dir, format_float, load_or_compute_rule
 from .tensor_quad import convergence_series
 
 _BUILTIN_IDS = ("FM", "CR", "SC", "SD")
+# The oracle scales its grid with u, so for a kernel of the declared degree
+# q its values at these u agree up to u^q.  They are not one computation
+# repeated: the u = 0.5 and u = 2 rows are what catch a kernel whose
+# declared q is wrong (test_check_detects_wrong_degree).
 _CHECK_U = (0.5, 1.0, 2.0)
 _ORACLE_RTOL = 1e-5
+# The largest --points/--max-points accepted.  At k = 2000 each k x k
+# temporary of the 2D sum is 32 MB, the size of one 512-row oracle block.
+MAX_ORDER = 2000
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed k x k temporaries for reuse by the next order.
+
+    By default an array above the mmap threshold is mapped on allocation
+    and unmapped on free, and free memory at the heap top is trimmed, so
+    each order of a series faults its temporaries in afresh.  32 MiB is
+    glibc's largest mmap threshold on 64-bit; the trim threshold lies above
+    it.  Does nothing where the C library cannot be opened this way or has
+    no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _resolve_kernel(text: str):
@@ -286,14 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
                             help="builtin id (fm|cr|sc|sd) or expression")
         if max_points is not None:
             sp.add_argument("--max-points", type=int, default=max_points,
-                            help=f"largest rule order (default {max_points})")
+                            help=f"largest rule order (default {max_points},"
+                                 f" at most {MAX_ORDER})")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--cache-dir", default=None,
                         help="rule cache directory ('' disables;"
                              " default honors AVGKERNEL_CACHE_DIR)")
 
     p_rule = sub.add_parser("rule", help="print one k-point rule")
-    p_rule.add_argument("--points", type=int, required=True)
+    p_rule.add_argument("--points", type=int, required=True,
+                        help=f"rule order, 1..{MAX_ORDER}")
     common(p_rule)
     p_rule.set_defaults(func=cmd_rule)
 
@@ -319,10 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8", newline="\n")
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest in ("points", "max_points"):
+        if getattr(args, dest, 0) > MAX_ORDER:
+            flag = "--" + dest.replace("_", "-")
+            print(f"avgkernel: {flag} must be <= {MAX_ORDER}", file=sys.stderr)
+            return 2
     cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
     try:
         return args.func(args, cache_dir)

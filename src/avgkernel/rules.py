@@ -43,11 +43,21 @@ class _CorruptCache(Exception):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Order-k rule for the weight e^{-x} on [0, inf)."""
+    """Order-k rule for the weight e^{-x} on [0, inf).
+
+    The rules built here have read-only arrays: one rule object may be
+    shared by every caller in the process.
+    """
 
     order: int
     nodes: np.ndarray
     weights: np.ndarray
+
+
+def _read_only_rule(order: int, nodes: np.ndarray, weights: np.ndarray) -> QuadratureRule:
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(order, nodes, weights)
 
 
 def _invariant_problem(order: int, nodes: np.ndarray, weights: np.ndarray) -> str | None:
@@ -228,7 +238,7 @@ def compute_rule(k: int) -> QuadratureRule:
     problem = _invariant_problem(k, nodes, weights)
     if problem is not None:
         raise ConvergenceError(f"rule of order {k} failed validation: {problem}")
-    return QuadratureRule(k, nodes, weights)
+    return _read_only_rule(k, nodes, weights)
 
 
 def format_float(v: float) -> str:
@@ -276,7 +286,7 @@ def _parse_cache_text(text: str, k: int) -> QuadratureRule:
     problem = _invariant_problem(k, nodes, weights)
     if problem is not None:
         raise _CorruptCache(problem)
-    return QuadratureRule(k, nodes, weights)
+    return _read_only_rule(k, nodes, weights)
 
 
 def default_cache_dir() -> str:

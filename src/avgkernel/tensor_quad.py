@@ -1,11 +1,14 @@
 """1D and tensor-product 2D quadrature plus the order-by-order series.
 
 Only square 2D rules (the same order on both axes) are supported.  The
-summation order is fixed so repeated runs are bitwise identical.
+summation order is fixed so repeated runs are bitwise identical.  The
+series loads each rule once per process, so several kernels run over the
+same orders (as in table3) share one read or one build per order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,16 +86,31 @@ def integrate_2d(rule: QuadratureRule, f) -> float:
     return float(np.sum(weighted))
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_rule(k: int, cache_dir) -> QuadratureRule:
+    """load_or_compute_rule, once per (k, cache_dir) in this process.
+
+    Rules are read-only, so one object can serve every caller.  The memo
+    holds both arrays of every order loaded: 16 * (1 + ... + k_max) bytes,
+    about 1 MB for orders 1..361.  The loader is looked up as a module
+    attribute at call time, so a wrapper set on it sees every real load.
+    """
+    return load_or_compute_rule(k, cache_dir)
+
+
 def convergence_series(f, k_max: int, cache_dir=None,
                        integrand_id: str = "integrand") -> ConvergenceSeries:
-    """Q_{k,k} for every k in 1..k_max using cached rules."""
+    """Q_{k,k} for every k in 1..k_max using cached rules.
+
+    A rule loaded for an earlier call with the same cache_dir is reused.
+    """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     orders = []
     values = []
     for k in range(1, k_max + 1):
         try:
-            rule = load_or_compute_rule(k, cache_dir)
+            rule = _shared_rule(k, cache_dir)
             q = integrate_2d(rule, f)
         except IntegrandError as exc:
             raise IntegrandError(f"order {k}: {exc}") from exc

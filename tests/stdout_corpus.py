@@ -6,8 +6,9 @@
 SRC is the `src` directory of an avgkernel checkout.  The corpus runs every
 subcommand in csv and json: `rule` and `table3` once each, and `converge`,
 `report` and `check` for the four builtins and two expression kernels, all
-at order 60, on a fresh temporary rule cache.  Each output line is
-"<sha256 of stdout> rc=<exit code> <arguments>", so the corpora of two
+at order 60, on a fresh temporary rule cache; then `table3` once more with
+caching disabled, which builds every rule in the process.  Each output
+line is "<sha256 of stdout> rc=<exit code> <arguments>", so the corpora of two
 checkouts, compared with diff, show every invocation whose output changed.
 A refactor that must keep stdout byte-identical runs it on both sides.
 """
@@ -37,6 +38,8 @@ def invocations():
             for kernel in KERNELS:
                 yield [command, "--kernel", kernel, "--max-points", ORDER,
                        "--format", fmt]
+    for fmt in ("csv", "json"):
+        yield ["table3", "--max-points", ORDER, "--format", fmt, "--cache-dir", ""]
 
 
 def main() -> int:
@@ -50,12 +53,14 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory(prefix="avgkernel-corpus-") as cache:
         for args in invocations():
+            cache_args = [] if "--cache-dir" in args else ["--cache-dir", cache]
             proc = subprocess.run(
-                [sys.executable, "-m", "avgkernel", *args, "--cache-dir", cache],
+                [sys.executable, "-m", "avgkernel", *args, *cache_args],
                 env=env, capture_output=True, check=False,
             )
             digest = hashlib.sha256(proc.stdout).hexdigest()
-            print(f"{digest} rc={proc.returncode} {' '.join(args)}", flush=True)
+            shown = " ".join(arg or "''" for arg in args)
+            print(f"{digest} rc={proc.returncode} {shown}", flush=True)
     return 0
 
 

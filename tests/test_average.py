@@ -11,6 +11,7 @@ from avgkernel.average import (
     population_average_oracle,
     pre_exponential_factor,
 )
+from avgkernel import tensor_quad
 from avgkernel.extrapolate import full_report
 from avgkernel.kernels import builtin_kernel, eval_kernel, parse_kernel
 from avgkernel.rules import load_or_compute_rule
@@ -61,6 +62,24 @@ def test_factor_validates_inputs(cache_dir):
     spec = dataclasses.replace(builtin_kernel("SC"), degree_q=None)
     with pytest.raises(ValueError):
         pre_exponential_factor(spec, 25, cache_dir)
+
+
+def test_kernels_share_one_load_per_order(tmp_path, monkeypatch):
+    loads = []
+    load = tensor_quad.load_or_compute_rule
+
+    def counted(k, cache_dir):
+        loads.append(k)
+        return load(k, cache_dir)
+
+    monkeypatch.setattr(tensor_quad, "load_or_compute_rule", counted)
+    # rules stay loaded for the process; forget those of earlier tests
+    tensor_quad._shared_rule.cache_clear()
+    for cache_dir in (str(tmp_path), ""):
+        loads.clear()
+        for kernel_id in ("FM", "CR", "SC", "SD"):
+            pre_exponential_factor(builtin_kernel(kernel_id), 25, cache_dir)
+        assert loads == list(range(1, 26)), cache_dir
 
 
 def test_average_kernel_power_law():

@@ -1,9 +1,12 @@
+import ctypes
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from avgkernel import cli
 
 
 def run_cli(*args, cache=None):
@@ -254,3 +257,31 @@ def test_env_cache_dir_honored(tmp_path):
     cp = run_cli("rule", "--points", "5", cache=str(tmp_path))
     assert cp.returncode == 0, cp.stderr
     assert (tmp_path / "glq_5.csv").is_file()
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()],
+                         ids=["no-library", "no-mallopt"])
+def test_main_runs_without_mallopt(cdll, monkeypatch, capsys):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setenv("AVGKERNEL_CACHE_DIR", "")
+    assert cli.main(["rule", "--points", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["rule", "--points"],
+    ["converge", "--kernel", "sc", "--max-points"],
+    ["report", "--kernel", "sc", "--max-points"],
+    ["table3", "--max-points"],
+    ["check", "--kernel", "sc", "--max-points"],
+], ids=lambda argv: argv[0])
+def test_orders_above_the_limit_are_rejected(argv, monkeypatch, capsys):
+    monkeypatch.setenv("AVGKERNEL_CACHE_DIR", "")
+    assert cli.main([*argv, str(cli.MAX_ORDER + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"must be <= {cli.MAX_ORDER}" in captured.err

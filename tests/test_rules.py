@@ -176,6 +176,15 @@ def test_cache_round_trip(tmp_path):
     assert first.weights.tobytes() == second.weights.tobytes()
 
 
+def test_rules_are_read_only(tmp_path):
+    built = load_or_compute_rule(7, tmp_path)
+    loaded = load_or_compute_rule(7, tmp_path)
+    for rule in (built, loaded):
+        for values in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
+
 def test_cache_file_layout(tmp_path):
     load_or_compute_rule(3, tmp_path)
     lines = (tmp_path / "glq_3.csv").read_text().splitlines()
