@@ -2,11 +2,12 @@
 population-average oracle.
 
 p is half the Gauss-Laguerre double integral of the kernel.  The oracle
-recomputes the same average from its defining volume integral with a
-truncated composite midpoint rule, a deliberately different quadrature
-family, so agreement between the two is evidence rather than tautology.
-Both evaluate the kernel on a node column and a node row: per-node work in
-the kernel runs once per node, and numpy broadcasting forms the grid.
+recomputes the same average from its defining volume integral with
+double-exponential quadrature (Takahasi & Mori 1974) in the coordinates
+x = u s t, y = u s (1 - t): tanh-sinh in t, which puts the kernels'
+singularities at x = 0 and kinks at x = y at the ends of the t range, and
+exp-sinh in s.  It is a deliberately different quadrature family, so
+agreement between the two is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .tensor_quad import convergence_series
 
 
 class ResolutionError(RuntimeError):
-    """Successive oracle grid refinements disagree beyond tolerance."""
+    """Successive oracle refinements disagree beyond tolerance within the
+    node budget, or the oracle value is not finite."""
 
 
 @dataclass(frozen=True)
@@ -74,69 +76,67 @@ def average_kernel(result: AverageKernelResult, u: float) -> float:
     return result.p * u ** result.q
 
 
-def _midpoint_axis(u: float, n_points: int):
-    """Cell midpoints and widths covering [1e-8 u, 60 u].
+# Kernels such as 1/x overflow below the smallest normal float.
+_TINY = np.finfo(float).tiny
 
-    Geometric cells up to u resolve integrable singularities at the origin;
-    uniform cells cover the exponential tail beyond.
+
+def _de_axes(h: float):
+    """Nodes and weights at step h: tanh-sinh in t on (0, 1/2), exp-sinh
+    in s on (0, inf).
+
+    t = sigma(pi sinh tau) / 2, with sigma the logistic function, so
+    1/2 - t and 1 - t carry no cancellation; s = exp(pi/2 sinh tau), and
+    its weight includes the s e^-s of the average.  Nodes whose t is
+    subnormal or rounds to 1 - t, or whose weight underflows, are dropped:
+    beyond |tau| = 6.5 that is every node.
     """
-    delta = 1e-8 * u
-    top = 60.0 * u
-    n_geo = n_points // 4
-    n_uni = n_points - n_geo
-    geo = delta * (u / delta) ** (np.arange(n_geo + 1) / n_geo)
-    uni = u + (top - u) * np.arange(1, n_uni + 1) / n_uni
-    edges = np.concatenate([geo, uni])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
-    return mids, widths
-
-
-def _midpoint_average(spec: KernelSpec, u: float, n_points: int) -> float:
-    """Midpoint-rule average over 512-row blocks of the x-by-y grid.
-
-    The kernel gets a column of up to 512 x midpoints and the row of all
-    n_points+1 y midpoints, so its per-node leaves (cbrt, powers) run once
-    per midpoint and each binary operation makes one 512 x (n_points+1)
-    array.  A kernel that ignores x or y is broadcast to the full block.
-    """
-    mx, wx = _midpoint_axis(u, n_points)
-    my, wy = _midpoint_axis(u, n_points + 1)  # offset keeps x != y exactly
-    fx = wx * np.exp(-mx / u)
-    fy = wy * np.exp(-my / u)
-    total = 0.0
-    for lo in range(0, len(mx), 512):
-        hi = min(lo + 512, len(mx))
-        shape = (hi - lo, len(my))
-        block = np.asarray(eval_kernel(spec, mx[lo:hi, None], my[None, :]),
-                           dtype=float)
-        if block.shape != shape:
-            block = np.broadcast_to(block, shape)
-        total += float(fx[lo:hi] @ block @ fy)
-    return total / (2.0 * u * u)
+    tau = h * np.arange(-int(6.5 / h), int(6.5 / h) + 1)
+    with np.errstate(over="ignore", under="ignore"):
+        v = np.pi * np.sinh(tau)
+        t, d = 0.5 / (1.0 + np.exp(-v)), 0.5 / (1.0 + np.exp(v))
+        wt = 2.0 * np.pi * h * np.cosh(tau) * t * d
+        s = np.exp(0.5 * v)
+        ws = 0.5 * np.pi * h * np.cosh(tau) * np.exp(v - s)
+    on_t = (t >= _TINY) & (t != 0.5 + d) & (wt > 0)
+    return t[on_t], 0.5 + d[on_t], wt[on_t], s[ws > 0], ws[ws > 0]
 
 
 def population_average_oracle(spec: KernelSpec, u: float, points: int = 4000,
                               rtol: float = 1e-5) -> float:
     """Quadrature-independent estimate of the average kernel at u.
 
-    Three grid resolutions (points/2, points, 2*points per axis) feed two
-    Richardson pairs; their disagreement is the resolution check.
+    With x = u s t and y = u s (1 - t), the average
+    (1/(2u^2)) int int beta(x, y) e^(-(x+y)/u) dx dy equals
+    1/2 int_0^inf s e^-s int_0^1 beta(x, y) dt ds.  The kernel is evaluated
+    at those (x, y), both ways round to fold t onto (0, 1/2) without
+    assuming symmetry, and never at x == y or at a zero or subnormal x.
+    It is not scaled by its declared degree q, so a wrong q shows away from
+    u = 1.  One step h serves both axes; it halves from 1/2 until two
+    successive levels agree within rtol, while the t axis holds at most
+    `points` nodes.
     """
     if u <= 0:
         raise ValueError("u must be > 0")
     if points < 64:
         raise ValueError("points must be >= 64")
-    coarse = _midpoint_average(spec, u, points // 2)
-    mid = _midpoint_average(spec, u, points)
-    fine = _midpoint_average(spec, u, 2 * points)
-    first = mid + (mid - coarse) / 3.0
-    second = fine + (fine - mid) / 3.0
-    if not math.isfinite(second):
-        raise ResolutionError(f"oracle produced non-finite value {second}")
-    if abs(second - first) > rtol * max(1.0, abs(second)):
-        raise ResolutionError(
-            f"oracle refinements disagree: {first!r} vs {second!r}"
-            f" (tolerance {rtol:g})"
-        )
-    return second
+    h, values = 0.5, []
+    while True:
+        t, r, wt, s, ws = _de_axes(h)
+        if len(t) > points:
+            raise ResolutionError(
+                f"oracle refinements disagree: {values[-2]!r} vs {values[-1]!r}"
+                f" (tolerance {rtol:g}; the next level needs over {points} nodes)"
+            )
+        # t < 1/2 <= 1 - t, so x < y survives the rounding of u s t
+        x, y, w = np.outer(u * s, t), np.outer(u * s, r), np.outer(ws, wt)
+        keep = (x >= _TINY) & (w > 0)
+        x, y, w = x[keep], y[keep], w[keep]
+        folded = (np.asarray(eval_kernel(spec, x, y), dtype=float)
+                  + np.asarray(eval_kernel(spec, y, x), dtype=float))
+        value = 0.5 * float(np.sum(w * folded))
+        if not math.isfinite(value):
+            raise ResolutionError(f"oracle produced non-finite value {value}")
+        if values and abs(value - values[-1]) <= rtol * max(1.0, abs(value)):
+            return value
+        values.append(value)
+        h /= 2

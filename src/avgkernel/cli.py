@@ -25,14 +25,14 @@ from .rules import default_cache_dir, format_float, load_or_compute_rule
 from .tensor_quad import convergence_series
 
 _BUILTIN_IDS = ("FM", "CR", "SC", "SD")
-# The oracle scales its grid with u, so for a kernel of the declared degree
-# q its values at these u agree up to u^q.  They are not one computation
-# repeated: the u = 0.5 and u = 2 rows are what catch a kernel whose
-# declared q is wrong (test_check_detects_wrong_degree).
+# The oracle evaluates the kernel at x and y scaled by u, so for a kernel of
+# the declared degree q its values at these u agree up to u^q.  They are
+# not one computation repeated: the u = 0.5 and u = 2 rows are what catch a
+# kernel whose declared q is wrong (test_check_detects_wrong_degree).
 _CHECK_U = (0.5, 1.0, 2.0)
 _ORACLE_RTOL = 1e-5
 # The largest --points/--max-points accepted.  At k = 2000 each k x k
-# temporary of the 2D sum is 32 MB, the size of one 512-row oracle block.
+# temporary of the 2D sum is 32 MB.
 MAX_ORDER = 2000
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1

@@ -42,25 +42,39 @@ def invocations():
         yield ["table3", "--max-points", ORDER, "--format", fmt, "--cache-dir", ""]
 
 
+def package_src(arg: str) -> Path | None:
+    """The resolved `src` directory, or None if it holds no avgkernel."""
+    src = Path(arg).resolve()
+    return src if (src / "avgkernel" / "cli.py").is_file() else None
+
+
+def run(src: Path, args: list[str], cache: str) -> subprocess.CompletedProcess:
+    """One CLI invocation of the package under src, on the rule cache
+    `cache` unless args name their own."""
+    cache_args = [] if "--cache-dir" in args else ["--cache-dir", cache]
+    return subprocess.run(
+        [sys.executable, "-m", "avgkernel", *args, *cache_args],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, check=False,
+    )
+
+
+def shown(args: list[str]) -> str:
+    return " ".join(arg or "''" for arg in args)
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    src = Path(sys.argv[1]).resolve()
-    if not (src / "avgkernel" / "cli.py").is_file():
-        print(f"stdout_corpus: no avgkernel package under {src}", file=sys.stderr)
+    src = package_src(sys.argv[1])
+    if src is None:
+        print(f"stdout_corpus: no avgkernel package under {sys.argv[1]}", file=sys.stderr)
         return 2
-    env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory(prefix="avgkernel-corpus-") as cache:
         for args in invocations():
-            cache_args = [] if "--cache-dir" in args else ["--cache-dir", cache]
-            proc = subprocess.run(
-                [sys.executable, "-m", "avgkernel", *args, *cache_args],
-                env=env, capture_output=True, check=False,
-            )
+            proc = run(src, args, cache)
             digest = hashlib.sha256(proc.stdout).hexdigest()
-            shown = " ".join(arg or "''" for arg in args)
-            print(f"{digest} rc={proc.returncode} {shown}", flush=True)
+            print(f"{digest} rc={proc.returncode} {shown(args)}", flush=True)
     return 0
 
 

@@ -3,7 +3,7 @@
 The explicit series for L_k and its derivative are evaluated in Fraction
 arithmetic, so they are exact for rational arguments and immune to the
 cancellation that limits the float recurrence.  The stepwise recurrence and
-the full-grid sums are the straightforward forms of faster package code,
+the full-grid sum are the straightforward forms of faster package code,
 which must reproduce them bit for bit.
 """
 
@@ -11,9 +11,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-
-from avgkernel.average import _midpoint_axis
-from avgkernel.kernels import eval_kernel
 
 
 def laguerre_series(k, x):
@@ -76,18 +73,3 @@ def integrate_2d_full_grid(rule, f):
     vals = _on_full_grid(f, rule.nodes[:, None], rule.nodes[None, :])
     return float(np.sum(np.outer(rule.weights, rule.weights) * vals))
 
-
-def midpoint_average_full_grid(spec, u, n_points):
-    """avgkernel.average._midpoint_average with the kernel called on full
-    512-row grid blocks instead of a column and a row."""
-    mx, wx = _midpoint_axis(u, n_points)
-    my, wy = _midpoint_axis(u, n_points + 1)
-    fx = wx * np.exp(-mx / u)
-    fy = wy * np.exp(-my / u)
-    total = 0.0
-    for lo in range(0, len(mx), 512):
-        hi = min(lo + 512, len(mx))
-        block = _on_full_grid(lambda x, y: eval_kernel(spec, x, y),
-                              mx[lo:hi, None], my[None, :])
-        total += float(fx[lo:hi] @ block @ fy)
-    return total / (2.0 * u * u)

@@ -1,22 +1,23 @@
 import dataclasses
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from avgkernel.average import (
     AverageKernelResult,
     ResolutionError,
-    _midpoint_average,
     average_kernel,
     population_average_oracle,
     pre_exponential_factor,
 )
-from avgkernel import tensor_quad
+from avgkernel import average, tensor_quad
 from avgkernel.extrapolate import full_report
 from avgkernel.kernels import builtin_kernel, eval_kernel, parse_kernel
 from avgkernel.rules import load_or_compute_rule
 from avgkernel.tensor_quad import convergence_series, integrate_2d
-from support import integrate_2d_full_grid, midpoint_average_full_grid
+from support import integrate_2d_full_grid
 
 # closed forms precomputed with a 50-digit library: 2 + 6*gamma(5/3)*gamma(4/3)
 # halved, and 2 + 2*gamma(4/3)*gamma(2/3) halved
@@ -114,18 +115,14 @@ def test_column_and_row_evaluation_matches_full_grid_bitwise(kernel, cache_dir):
     for k in (1, 2, 37, 120, 361):
         rule = load_or_compute_rule(k, cache_dir)
         assert integrate_2d(rule, f) == integrate_2d_full_grid(rule, f)
-    # 1200 points span three 512-row blocks
-    for u, n_points in ((0.5, 256), (2.0, 256), (1.0, 1200)):
-        got = _midpoint_average(spec, u, n_points)
-        assert got == midpoint_average_full_grid(spec, u, n_points)
 
 
-def test_midpoint_average_of_constant_kernel():
-    # a constant kernel returns a scalar, which is broadcast to the block
-    spec = parse_kernel("q=0; 2")
-    got = _midpoint_average(spec, 1.0, 256)
+def test_oracle_broadcasts_constant_kernel():
+    # a constant kernel returns a scalar, which is broadcast to the nodes;
+    # "2 + 0*x" returns the same values as an array, summed in the same order
+    got = population_average_oracle(parse_kernel("q=0; 2"), 1.0)
     assert math.isfinite(got)
-    assert got == midpoint_average_full_grid(spec, 1.0, 256)
+    assert got == population_average_oracle(parse_kernel("q=0; 2 + 0*x"), 1.0)
 
 
 def test_oracle_constant_kernel():
@@ -160,6 +157,100 @@ def test_oracle_validates_inputs():
         population_average_oracle(spec, 0.0)
     with pytest.raises(ValueError):
         population_average_oracle(spec, 1.0, points=32)
+
+
+def _family_kernel(a, b):
+    return f"(x^({a})+y^({a}))*(x^({b})+y^({b}))"
+
+
+def _family_p(a, b):
+    a, b = float(Fraction(a)), float(Fraction(b))
+    return math.gamma(a + b + 1.0) + math.gamma(a + 1.0) * math.gamma(b + 1.0)
+
+
+# (kernel, p, q): the check-expr family (x^a+y^a)(x^b+y^b) has
+# p = Gamma(a+b+1) + Gamma(a+1) Gamma(b+1)
+CLOSED_FORMS = [
+    ("SC", P_EXACT_SC, 1.0),
+    ("CR", P_EXACT_CR, 0.0),
+    ("q=0; 2", 1.0, 0.0),
+    ("x + y", 1.0, 1.0),
+] + [
+    (_family_kernel(a, b), _family_p(a, b), float(Fraction(a) + Fraction(b)))
+    for a in ("-1/3", "-1/6", "1/6", "1/3") for b in ("1/3", "2/3")
+]
+
+
+@pytest.mark.parametrize("kernel, p, q", CLOSED_FORMS, ids=[c[0] for c in CLOSED_FORMS])
+def test_oracle_resolves_closed_forms_to_rounding(kernel, p, q):
+    spec = builtin_kernel(kernel) if kernel.isalpha() else parse_kernel(kernel)
+    for u in (0.5, 1.0, 2.0):
+        got = population_average_oracle(spec, u)
+        assert got == pytest.approx(p * u**q, rel=1e-12), u
+
+
+@pytest.mark.parametrize("kernel", ["FM", "SD"])
+def test_oracle_matches_extended_precision_reduction(kernel):
+    # for beta homogeneous of degree q, p = Gamma(q+2)/2 int_0^1 beta(t, 1-t) dt
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        def beta(t):
+            a, b = mp.cbrt(t), mp.cbrt(1 - t)
+            if kernel == "FM":
+                return mp.sqrt(1 / t + 1 / (1 - t)) * (a + b) ** 2
+            return (a + b) ** 3 * abs(a - b)
+
+        q = mp.mpf(1) / 6 if kernel == "FM" else mp.mpf(4) / 3
+        p = float(mp.gamma(q + 2) * mp.quad(beta, [0, 0.5, 1]) / 2)
+    spec = builtin_kernel(kernel)
+    for u in (0.5, 1.0, 2.0):
+        got = population_average_oracle(spec, u)
+        assert got == pytest.approx(p * u**spec.degree_q, rel=1e-12), u
+
+
+@pytest.mark.parametrize("kernel, p, q, rtol, rel", [
+    # t^(-2/3) at the t = 0 end of the folded t range
+    ("(x^(-2/3)+y^(-2/3))*(x^(1/3)+y^(1/3))",
+     math.gamma(2 / 3) + math.gamma(1 / 3) * math.gamma(4 / 3), -1 / 3, 1e-10, 1e-10),
+    # q = 4 puts weight s^5 e^-s far out in the s tail
+    ("(x^2+y^2)*(x^2+y^2)", 28.0, 4.0, 1e-10, 1e-10),
+    # infinite at x == y, the t = 1/2 end: a node there gives a non-finite sum
+    ("q=-0.5; abs(x-y)^(-1/2)", math.gamma(1.5), -0.5, 1e-5, 1e-6),
+    # asymmetric, with a kink at x = 2y inside the t range
+    ("q=1; abs(x-2*y)", 5 / 6, 1.0, 1e-5, 1e-5),
+])
+def test_oracle_endpoints_and_tails(kernel, p, q, rtol, rel):
+    spec = parse_kernel(kernel)
+    for u in (0.5, 1.0, 2.0):
+        got = population_average_oracle(spec, u, rtol=rtol)
+        assert got == pytest.approx(p * u**q, rel=rel), u
+
+
+def test_oracle_nodes_keep_x_below_y():
+    # the oracle never evaluates the kernel at x == y (a kink or a pole for
+    # many kernels): x = u s t stays below y = u s (1 - t) after rounding
+    for h in (0.5, 0.125, 1 / 32):
+        t, r, _, s, _ = average._de_axes(h)
+        assert np.all(t < r)
+        for u in (0.5, 1.0, 2.0, 3.0, 0.3, 1.7, 7.9):
+            assert np.all(np.outer(u * s, t) < np.outer(u * s, r)), (h, u)
+
+
+def test_oracle_evaluates_the_kernel_at_few_points(monkeypatch):
+    # guards against a return to grids of order 1e7 points per call
+    counts = []
+    evaluate = average.eval_kernel
+
+    def counted(spec, x, y):
+        counts.append(np.broadcast(x, y).size)
+        return evaluate(spec, x, y)
+
+    monkeypatch.setattr(average, "eval_kernel", counted)
+    for kernel_id in ("FM", "CR", "SC", "SD"):
+        for u in (0.5, 1.0, 2.0):
+            counts.clear()
+            population_average_oracle(builtin_kernel(kernel_id), u)
+            assert 0 < sum(counts) < 200_000, (kernel_id, u, sum(counts))
 
 
 def test_average_agrees_with_oracle_at_moderate_order(cache_dir):
