@@ -31,13 +31,6 @@ from .kernels import (
     homogeneity_degree,
     parse_kernel,
 )
-from .laguerre import (
-    ScaledValue,
-    laguerre_derivative,
-    laguerre_derivative_scaled,
-    laguerre_eval,
-    laguerre_eval_scaled,
-)
 from .rules import (
     ConvergenceError,
     QuadratureRule,
@@ -50,7 +43,6 @@ from .tensor_quad import (
     ConvergenceSeries,
     IntegrandError,
     convergence_series,
-    integrate_1d,
     integrate_2d,
 )
 
@@ -71,7 +63,6 @@ __all__ = [
     "QuadratureRule",
     "RemainderEstimate",
     "ResolutionError",
-    "ScaledValue",
     "average_kernel",
     "builtin_kernel",
     "compute_rule",
@@ -86,12 +77,7 @@ __all__ = [
     "format_kernel",
     "full_report",
     "homogeneity_degree",
-    "integrate_1d",
     "integrate_2d",
-    "laguerre_derivative",
-    "laguerre_derivative_scaled",
-    "laguerre_eval",
-    "laguerre_eval_scaled",
     "load_or_compute_rule",
     "parse_kernel",
     "population_average_oracle",

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extrapolate import RemainderEstimate, full_report
+from .extrapolate import ConvergenceReport, full_report
 from .kernels import KernelSpec, eval_kernel
-from .tensor_quad import convergence_series
+from .tensor_quad import ConvergenceSeries, convergence_series
 
 
 class ResolutionError(RuntimeError):
@@ -29,44 +29,41 @@ class ResolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class AverageKernelResult:
-    """p and q such that the average kernel is p*u^q.
-
-    remainder describes the halved integral (same scale as p); it is None
-    when the series converged exactly (remainder 0).
+    """One kernel through the pipeline: its series Q_1..Q_k, the report of
+    that series on the scale of Q, and q, so that the average kernel is
+    p*u^q with p = Q/2.
     """
 
-    p: float
-    q: float
-    remainder: RemainderEstimate | None
     kernel_id: str
+    q: float
+    series: ConvergenceSeries
+    report: ConvergenceReport
+
+    @property
+    def p(self) -> float:
+        return self.report.final_value / 2.0
 
     @property
     def remainder_value(self) -> float | None:
-        """0 when exact, None when no finite estimate exists."""
-        if self.remainder is None:
-            return 0.0
-        return self.remainder.remainder
+        """The remainder on the scale of p: 0 when exact, None when no
+        finite estimate exists."""
+        r = self.report.remainder_value
+        return None if r is None else r / 2.0
 
 
 def pre_exponential_factor(spec: KernelSpec, k_max: int, cache_dir=None,
                            fit_window=None) -> AverageKernelResult:
-    """Run the convergence series for the kernel and halve the result."""
+    """Run the kernel's convergence series and its report; p is half the
+    final value.  Every command that reports p or a remainder runs this.
+    """
     if spec.degree_q is None:
         raise ValueError("kernel has no homogeneity degree set")
     if k_max < 20:
         raise ValueError("k_max must be >= 20")
-
-    def integrand(x, y):
-        return eval_kernel(spec, x, y)
-
-    series = convergence_series(integrand, k_max, cache_dir, spec.label)
-    report = full_report(series, fit_window).scaled(0.5)
-    return AverageKernelResult(
-        p=report.final_value,
-        q=spec.degree_q,
-        remainder=report.estimate,
-        kernel_id=spec.label,
-    )
+    series = convergence_series(lambda x, y: eval_kernel(spec, x, y),
+                                k_max, cache_dir, spec.label)
+    return AverageKernelResult(spec.label, spec.degree_q, series,
+                               full_report(series, fit_window))
 
 
 def average_kernel(result: AverageKernelResult, u: float) -> float:

@@ -13,13 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .average import (
-    ResolutionError,
-    average_kernel,
-    population_average_oracle,
-    pre_exponential_factor,
-)
-from .extrapolate import default_window, full_report
+from .average import average_kernel, population_average_oracle, pre_exponential_factor
+from .extrapolate import default_window, error_sequence
 from .kernels import builtin_kernel, eval_kernel, parse_kernel
 from .rules import default_cache_dir, format_float, load_or_compute_rule
 from .tensor_quad import convergence_series
@@ -31,6 +26,9 @@ _BUILTIN_IDS = ("FM", "CR", "SC", "SD")
 # kernel whose declared q is wrong (test_check_detects_wrong_degree).
 _CHECK_U = (0.5, 1.0, 2.0)
 _ORACLE_RTOL = 1e-5
+_CHECK_COLUMNS = ("u", "beta_bar", "oracle", "delta", "tol")
+# The fewest orders a remainder fit takes (extrapolate.full_report).
+_FIT_ORDERS = 20
 # The largest --points/--max-points accepted.  At k = 2000 each k x k
 # temporary of the 2D sum is 32 MB.
 MAX_ORDER = 2000
@@ -59,13 +57,26 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _resolve_kernel(text: str):
-    if text.strip().upper() in _BUILTIN_IDS:
-        return builtin_kernel(text)
-    return parse_kernel(text)
+def _kernel(args):
+    """The --kernel spec; an asymmetric kernel gets a warning on stderr."""
+    text = args.kernel
+    spec = builtin_kernel(text) if text.strip().upper() in _BUILTIN_IDS else parse_kernel(text)
+    if spec.symmetry_warning is not None:
+        print(f"avgkernel: warning: kernel {spec.label!r} {spec.symmetry_warning}",
+              file=sys.stderr)
+    return spec
 
 
-def _parse_window(text: str, k_max: int):
+def _max_points(args, least: int, suffix: str = "") -> int:
+    """--max-points, rejected (exit code 2) below the command's least order."""
+    if args.max_points < least:
+        raise ValueError(f"--max-points must be >= {least}{suffix}")
+    return args.max_points
+
+
+def _parse_window(text: str | None, k_max: int):
+    if not text:
+        return None
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"fit window must be A:B, got {text!r}")
@@ -97,14 +108,8 @@ def _beta_display(p: float, q: float) -> str:
     return f"{p:.4f}*u^({_q_fraction(q)})"
 
 
-def _warn_asymmetry(spec) -> None:
-    if spec.symmetry_warning is not None:
-        print(f"avgkernel: warning: kernel {spec.label!r} {spec.symmetry_warning}",
-              file=sys.stderr)
-
-
 def _report_fields(report):
-    """(status, C, R, II-string) shared by converge/report output."""
+    """(status, C, R, II text) of a report on the scale of Q."""
     q = report.final_value
     if report.exact:
         return "exact", None, 0.0, f"{q:.4f} ± 0.0000"
@@ -116,8 +121,7 @@ def _report_fields(report):
 
 def cmd_rule(args, cache_dir) -> int:
     if args.points < 1:
-        print("avgkernel: --points must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--points must be >= 1")
     rule = load_or_compute_rule(args.points, cache_dir)
     if args.format == "json":
         _emit(json.dumps({
@@ -132,19 +136,20 @@ def cmd_rule(args, cache_dir) -> int:
 
 
 def cmd_converge(args, cache_dir) -> int:
-    if args.max_points < 2:
-        print("avgkernel: --max-points must be >= 2", file=sys.stderr)
-        return 2
-    spec = _resolve_kernel(args.kernel)
-    _warn_asymmetry(spec)
-    k_max = args.max_points
-    window = _parse_window(args.fit_window, k_max) if args.fit_window else None
-    series = convergence_series(lambda x, y: eval_kernel(spec, x, y),
-                                k_max, cache_dir, spec.label)
-    eps = [abs(series.values[n] - series.values[n - 1]) for n in range(1, k_max)]
-    report = None
-    if k_max >= 20:
-        report = full_report(series, window)
+    k_max = _max_points(args, 2)
+    spec = _kernel(args)
+    window = _parse_window(args.fit_window, k_max)
+    if k_max >= _FIT_ORDERS:
+        result = pre_exponential_factor(spec, k_max, cache_dir, window)
+        series, report = result.series, result.report
+    else:  # too short for a remainder fit
+        series = convergence_series(lambda x, y: eval_kernel(spec, x, y),
+                                    k_max, cache_dir, spec.label)
+        report = None
+    eps = [e for _, e in error_sequence(series)]
+    if report is not None:
+        status, slope, remainder, ii = _report_fields(report)
+        a, b = window or default_window(k_max)
 
     if args.format == "json":
         payload = {
@@ -153,69 +158,50 @@ def cmd_converge(args, cache_dir) -> int:
             "orders": series.orders,
             "values": series.values,
             "errors": eps,
+            "status": "short",
         }
-        if report is None:
-            payload["status"] = "short"
-        else:
-            status, slope, remainder, ii = _report_fields(report)
-            payload.update({
-                "status": status,
-                "C": slope,
-                "R": remainder,
-                "Q": report.final_value,
-                "fit_window": list(window or default_window(k_max)),
-                "II": ii,
-            })
+        if report is not None:
+            payload.update({"status": status, "C": slope, "R": remainder,
+                            "Q": report.final_value, "fit_window": [a, b], "II": ii})
         _emit(json.dumps(payload))
         return 0
 
-    for k in series.orders:
+    for k, value in zip(series.orders, series.values):
         e = format_float(eps[k - 1]) if k < k_max else ""
-        _emit(f"{k},{format_float(series.values[k - 1])},{e}")
+        _emit(f"{k},{format_float(value)},{e}")
     if report is None:
         _emit("# series too short for a remainder fit (need >= 20 orders)")
         return 0
-    status, slope, remainder, ii = _report_fields(report)
-    a, b = window or default_window(k_max)
     if status == "exact":
         _emit("# converged exactly, R = 0")
-    elif status == "divergent":
-        _emit(f"# C = {format_float(slope)} (fit window {a}:{b})")
-        _emit("# R = no estimate (C >= -1)")
     else:
         _emit(f"# C = {format_float(slope)} (fit window {a}:{b})")
-        _emit(f"# R = {format_float(remainder)}")
+        _emit("# R = no estimate (C >= -1)" if remainder is None
+              else f"# R = {format_float(remainder)}")
     _emit(f"# II = {ii}")
     return 0
 
 
 def cmd_report(args, cache_dir) -> int:
-    if args.max_points < 20:
-        print("avgkernel: --max-points must be >= 20 for report", file=sys.stderr)
-        return 2
-    spec = _resolve_kernel(args.kernel)
-    _warn_asymmetry(spec)
-    k_max = args.max_points
-    window = _parse_window(args.fit_window, k_max) if args.fit_window else None
-    series = convergence_series(lambda x, y: eval_kernel(spec, x, y),
-                                k_max, cache_dir, spec.label)
-    report = full_report(series, window)
+    k_max = _max_points(args, _FIT_ORDERS, " for report")
+    spec = _kernel(args)
+    window = _parse_window(args.fit_window, k_max)
+    result = pre_exponential_factor(spec, k_max, cache_dir, window)
+    report = result.report
     status, slope, remainder, ii = _report_fields(report)
-    p = report.final_value / 2.0
-    q = spec.degree_q
-    beta = _beta_display(p, q)
-    eps_anchor = "" if report.exact else format_float(report.estimate.anchor_error)
+    eps = None if report.exact else report.estimate.anchor_error
+    beta = _beta_display(result.p, result.q)
 
     if args.format == "json":
         _emit(json.dumps({
             "kernel": spec.label,
             "k_max": k_max,
             "Q": report.final_value,
-            "eps": None if report.exact else report.estimate.anchor_error,
+            "eps": eps,
             "C": slope,
             "R": remainder,
-            "p": p,
-            "q": q,
+            "p": result.p,
+            "q": result.q,
             "beta_bar": beta,
             "status": status,
             "fit_window": list(window or default_window(k_max)),
@@ -224,83 +210,52 @@ def cmd_report(args, cache_dir) -> int:
         return 0
 
     _emit("# columns: kernel,Q,eps_n,C,R,p,q,beta_bar")
-    c_text = "" if slope is None else format_float(slope)
-    r_text = "" if remainder is None else format_float(remainder)
-    _emit(f"{spec.label},{format_float(report.final_value)},{eps_anchor},"
-          f"{c_text},{r_text},{format_float(p)},{format_float(q)},{beta}")
+    numbers = (report.final_value, eps, slope, remainder, result.p, result.q)
+    _emit(",".join([spec.label, *("" if v is None else format_float(v) for v in numbers),
+                    beta]))
     _emit(f"# II = {ii}")
     return 0
 
 
 def cmd_table3(args, cache_dir) -> int:
-    if args.max_points < 20:
-        print("avgkernel: --max-points must be >= 20 for table3", file=sys.stderr)
-        return 2
-    k_max = args.max_points
+    k_max = _max_points(args, _FIT_ORDERS, " for table3")
     rows = []
     if args.format == "csv":
         _emit("# columns: type,p,q,beta_bar")
-    try:
-        for kernel_id in _BUILTIN_IDS:
-            spec = builtin_kernel(kernel_id)
-            result = pre_exponential_factor(spec, k_max, cache_dir)
-            beta = _beta_display(result.p, result.q)
-            if args.format == "csv":
-                _emit(f"{kernel_id},{format_float(result.p)},"
-                      f"{format_float(result.q)},{beta}")
-            else:
-                rows.append({"type": kernel_id, "p": result.p,
-                             "q": result.q, "beta_bar": beta})
-    except (ArithmeticError, RuntimeError) as exc:
-        # completed rows are already on stdout in csv mode
-        print(f"avgkernel: {exc}", file=sys.stderr)
-        return 3
+    for kernel_id in _BUILTIN_IDS:
+        result = pre_exponential_factor(builtin_kernel(kernel_id), k_max, cache_dir)
+        beta = _beta_display(result.p, result.q)
+        if args.format == "csv":
+            _emit(f"{kernel_id},{format_float(result.p)},{format_float(result.q)},{beta}")
+        rows.append({"type": kernel_id, "p": result.p, "q": result.q, "beta_bar": beta})
     if args.format == "json":
         _emit(json.dumps({"k_max": k_max, "rows": rows}))
     return 0
 
 
 def cmd_check(args, cache_dir) -> int:
-    if args.max_points < 20:
-        print("avgkernel: --max-points must be >= 20 for check", file=sys.stderr)
-        return 2
-    spec = _resolve_kernel(args.kernel)
-    _warn_asymmetry(spec)
-    result = pre_exponential_factor(spec, args.max_points, cache_dir)
+    k_max = _max_points(args, _FIT_ORDERS, " for check")
+    spec = _kernel(args)
+    result = pre_exponential_factor(spec, k_max, cache_dir)
     rem = result.remainder_value
-    us, betas, oracles, deltas, tols = [], [], [], [], []
+    rows = []
     for u in _CHECK_U:
         oracle = population_average_oracle(spec, u, rtol=_ORACLE_RTOL)
         beta = average_kernel(result, u)
-        delta = abs(oracle - beta)
         tol = _ORACLE_RTOL * max(1.0, abs(oracle))
         if rem is not None:
             tol = max(tol, 2.0 * rem * u ** result.q)
-        us.append(u)
-        betas.append(beta)
-        oracles.append(oracle)
-        deltas.append(delta)
-        tols.append(tol)
-    passed = all(d <= t for d, t in zip(deltas, tols))
+        rows.append((u, beta, oracle, abs(oracle - beta), tol))
+    passed = all(delta <= tol for *_, delta, tol in rows)
 
     if args.format == "json":
-        _emit(json.dumps({
-            "kernel": spec.label,
-            "k_max": args.max_points,
-            "u": us,
-            "beta_bar": betas,
-            "oracle": oracles,
-            "delta": deltas,
-            "tol": tols,
-            "passed": passed,
-        }))
-        return 0 if passed else 1
-
-    _emit("# columns: u,beta_bar,oracle,delta,tol")
-    for u, beta, oracle, delta, tol in zip(us, betas, oracles, deltas, tols):
-        _emit(f"{u:g},{format_float(beta)},{format_float(oracle)},"
-              f"{format_float(delta)},{format_float(tol)}")
-    _emit("# check passed" if passed else "# check FAILED")
+        _emit(json.dumps({"kernel": spec.label, "k_max": k_max,
+                          **dict(zip(_CHECK_COLUMNS, zip(*rows))), "passed": passed}))
+    else:
+        _emit("# columns: " + ",".join(_CHECK_COLUMNS))
+        for u, *values in rows:
+            _emit(",".join([f"{u:g}", *map(format_float, values)]))
+        _emit("# check passed" if passed else "# check FAILED")
     return 0 if passed else 1
 
 

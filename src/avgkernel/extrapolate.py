@@ -9,7 +9,7 @@ for C < -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +38,6 @@ class RemainderEstimate:
     remainder: float | None
     fit_window: tuple[int, int]
 
-    def scaled(self, s: float) -> "RemainderEstimate":
-        r = None if self.remainder is None else self.remainder * s
-        return replace(self, anchor_error=self.anchor_error * s, remainder=r)
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -63,10 +59,6 @@ class ConvergenceReport:
         if self.exact:
             return 0.0
         return self.estimate.remainder if self.estimate is not None else None
-
-    def scaled(self, s: float) -> "ConvergenceReport":
-        est = None if self.estimate is None else self.estimate.scaled(s)
-        return replace(self, final_value=self.final_value * s, estimate=est)
 
 
 def error_sequence(series: ConvergenceSeries) -> list[tuple[int, float]]:

@@ -1,16 +1,15 @@
-"""Laguerre polynomial evaluation stable at high order and large argument.
+"""The Laguerre three-term recurrence, stable at high order and large argument.
 
 L_k(x) grows roughly like exp(x/2) * x^(-k/2-1/4) * k! near the end of the
-oscillatory region, so the plain three-term recurrence overflows native
-doubles once k and x are both large (k around 400 for x near 4k).  The
-scaled variants keep every running term as value * 2**shift and renormalize
-by powers of two, which is exact.
+oscillatory region, so the plain recurrence overflows native doubles once k
+and x are both large (k around 400 for x near 4k).  _recurrence_scaled
+keeps its running terms as value * 2**shift and renormalizes by powers of
+two, which is exact.  The rule builder in rules.py is its caller.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,51 +18,6 @@ import numpy as np
 # underflow (see _recurrence_scaled).
 _BIG = 2.0**512
 _SMALL = 2.0**-512
-
-
-@dataclass(frozen=True)
-class ScaledValue:
-    """A real number stored as mantissa * 2**exponent.
-
-    mantissa is 0.0 (with exponent 0) for an exact zero, otherwise its
-    magnitude lies in [1, 2).  float() raises OverflowError when the value
-    does not fit a native double.
-    """
-
-    mantissa: float
-    exponent: int
-
-    def __float__(self) -> float:
-        return math.ldexp(self.mantissa, self.exponent)
-
-
-def _normalized(value: float, shift: int = 0) -> ScaledValue:
-    """Pack value * 2**shift into a ScaledValue."""
-    if value == 0.0:
-        return ScaledValue(0.0, 0)
-    m, e = math.frexp(value)
-    return ScaledValue(m * 2.0, e - 1 + shift)
-
-
-def laguerre_eval(k: int, x: float) -> float:
-    """L_k(x) by the three-term recurrence.
-
-    L_{n+1}(x) = ((2n+1-x) L_n(x) - n L_{n-1}(x)) / (n+1), L_0 = 1,
-    L_1 = 1 - x.  The caller is responsible for choosing k and x small
-    enough that the result and all intermediate terms fit a double; use
-    laguerre_eval_scaled otherwise.
-    """
-    if k < 0:
-        raise ValueError("order must be >= 0")
-    if x < 0:
-        raise ValueError("argument must be >= 0")
-    if k == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 - x
-    for n in range(1, k):
-        prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
-    return cur
 
 
 def _recurrence_scaled(k: int, x):
@@ -107,42 +61,3 @@ def _recurrence_scaled(k: int, x):
     if np.ndim(x) == 0:
         return float(prev), float(cur), int(shift), float(step)
     return prev, cur, shift, step
-
-
-def laguerre_eval_scaled(k: int, x: float) -> ScaledValue:
-    """Overflow-safe L_k(x); exact value is mantissa * 2**exponent."""
-    if k < 0:
-        raise ValueError("order must be >= 0")
-    if x < 0:
-        raise ValueError("argument must be >= 0")
-    if k == 0:
-        return ScaledValue(1.0, 0)
-    _, cur, shift, _ = _recurrence_scaled(k, x)
-    return _normalized(cur, shift)
-
-
-def laguerre_derivative(k: int, x: float) -> float:
-    """L_k'(x) through the identity x L_k'(x) = k (L_k(x) - L_{k-1}(x))."""
-    if k < 1:
-        raise ValueError("derivative needs order >= 1")
-    if x <= 0:
-        raise ValueError("derivative identity requires x > 0")
-    if k == 1:
-        return -1.0
-    prev = 1.0
-    cur = 1.0 - x
-    for n in range(1, k):
-        prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
-    return k * (cur - prev) / x
-
-
-def laguerre_derivative_scaled(k: int, x: float) -> ScaledValue:
-    """Overflow-safe L_k'(x), same identity as laguerre_derivative."""
-    if k < 1:
-        raise ValueError("derivative needs order >= 1")
-    if x <= 0:
-        raise ValueError("derivative identity requires x > 0")
-    if k == 1:
-        return ScaledValue(-1.0, 0)
-    prev, cur, shift, _ = _recurrence_scaled(k, x)
-    return _normalized(k * (cur - prev) / x, shift)

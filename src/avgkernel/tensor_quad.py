@@ -1,6 +1,6 @@
-"""1D and tensor-product 2D quadrature plus the order-by-order series.
+"""Tensor-product 2D Gauss-Laguerre quadrature and the order-by-order series.
 
-Only square 2D rules (the same order on both axes) are supported.  The
+Only square rules (the same order on both axes) are supported.  The
 summation order is fixed so repeated runs are bitwise identical.  The
 series loads each rule once per process, so several kernels run over the
 same orders (as in table3) share one read or one build per order.
@@ -30,52 +30,16 @@ class ConvergenceSeries:
     integrand_id: str
 
 
-def _eval_on(f, x, y=None):
-    """Evaluate f over node arrays, broadcast to their shape, falling back
-    to scalar calls."""
-    shape = x.shape if y is None else np.broadcast_shapes(x.shape, y.shape)
-    try:
-        vals = f(x) if y is None else f(x, y)
-        arr = np.asarray(vals, dtype=float)
-        if arr.shape != shape:
-            arr = np.broadcast_to(arr, shape)
-        return arr
-    except (TypeError, ValueError):
-        pass
-    if y is not None:
-        x, y = np.broadcast_arrays(x, y)
-    arr = np.empty(shape)
-    flat_x = x.ravel()
-    out = arr.ravel()
-    if y is None:
-        for idx in range(flat_x.size):
-            out[idx] = f(float(flat_x[idx]))
-    else:
-        flat_y = y.ravel()
-        for idx in range(flat_x.size):
-            out[idx] = f(float(flat_x[idx]), float(flat_y[idx]))
-    return arr
-
-
-def integrate_1d(rule: QuadratureRule, f) -> float:
-    """Apply the rule to f: approximates integral of e^{-x} f(x) over [0, inf)."""
-    vals = _eval_on(f, rule.nodes)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        i = int(bad[0])
-        raise IntegrandError(
-            f"integrand is {vals[i]} at node {i + 1} (x = {float(rule.nodes[i])!r})"
-        )
-    return float(np.dot(rule.weights, vals))
-
-
 def integrate_2d(rule: QuadratureRule, f) -> float:
     """Tensor-product double sum sum_i sum_j A_i A_j f(x_i, x_j).
 
-    f gets a k x 1 node column and a 1 x k node row, so per-node work runs
-    k times, not k*k; it may return any shape that broadcasts to k x k.
+    f is called once, with a k x 1 node column and a 1 x k node row, so
+    per-node work runs k times, not k*k.  It must accept arrays and may
+    return a scalar, a column, a row or a k x k grid, which is broadcast to
+    k x k; exceptions it raises propagate.
     """
-    vals = _eval_on(f, rule.nodes[:, None], rule.nodes[None, :])
+    x, y = rule.nodes[:, None], rule.nodes[None, :]
+    vals = np.broadcast_to(np.asarray(f(x, y), dtype=float), (rule.order, rule.order))
     if not np.all(np.isfinite(vals)):
         i, j = np.argwhere(~np.isfinite(vals))[0]
         raise IntegrandError(

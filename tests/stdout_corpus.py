@@ -7,8 +7,10 @@ SRC is the `src` directory of an avgkernel checkout.  The corpus runs every
 subcommand in csv and json: `rule` and `table3` once each, and `converge`,
 `report` and `check` for the four builtins and two expression kernels, all
 at order 60, on a fresh temporary rule cache; then `table3` once more with
-caching disabled, which builds every rule in the process.  Each output
-line is "<sha256 of stdout> rc=<exit code> <arguments>", so the corpora of two
+caching disabled, which builds every rule in the process; then, again in
+both formats, the invocations of EDGE_CASES, which reach the other
+statuses and exit codes.  Each output line is
+"<sha256 of stdout> rc=<exit code> <arguments>", so the corpora of two
 checkouts, compared with diff, show every invocation whose output changed.
 A refactor that must keep stdout byte-identical runs it on both sides.
 """
@@ -28,6 +30,22 @@ KERNELS = (
     "(x^(-1/3)+y^(-1/3))*(x^(2/3)+y^(2/3))",
     "(x^(1/6)+y^(1/6))*(x^(1/3)+y^(1/3))",
 )
+# A series too short for a fit (status short), explicit fit windows, a
+# kernel integrated exactly (exact), one whose fitted slope allows no
+# remainder (divergent, and an oracle overflow: exit 3), a kernel with a
+# wrong declared degree (exit 1), and rejected arguments (exit 2).
+EDGE_CASES = (
+    ["converge", "--kernel", "SC", "--max-points", "10"],
+    ["converge", "--kernel", "SC", "--max-points", ORDER, "--fit-window", "5:20"],
+    ["report", "--kernel", "SC", "--max-points", ORDER, "--fit-window", "5:20"],
+    *([command, "--kernel", kernel, "--max-points", ORDER]
+      for kernel in ("x*y", "q=-2; 1/(x*y)")
+      for command in ("converge", "report", "check")),
+    ["check", "--kernel", "q=0.5; 2", "--max-points", ORDER],
+    ["report", "--kernel", "SC", "--max-points", "19"],
+    ["converge", "--kernel", "SC", "--max-points", ORDER, "--fit-window", "20:5"],
+    ["check", "--kernel", "x + y + 1", "--max-points", ORDER],
+)
 
 
 def invocations():
@@ -40,6 +58,9 @@ def invocations():
                        "--format", fmt]
     for fmt in ("csv", "json"):
         yield ["table3", "--max-points", ORDER, "--format", fmt, "--cache-dir", ""]
+    for fmt in ("csv", "json"):
+        for args in EDGE_CASES:
+            yield [*args, "--format", fmt]
 
 
 def package_src(arg: str) -> Path | None:

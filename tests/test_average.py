@@ -13,10 +13,10 @@ from avgkernel.average import (
     pre_exponential_factor,
 )
 from avgkernel import average, tensor_quad
-from avgkernel.extrapolate import full_report
+from avgkernel.extrapolate import ConvergenceReport, RemainderEstimate, full_report
 from avgkernel.kernels import builtin_kernel, eval_kernel, parse_kernel
 from avgkernel.rules import load_or_compute_rule
-from avgkernel.tensor_quad import convergence_series, integrate_2d
+from avgkernel.tensor_quad import ConvergenceSeries, convergence_series, integrate_2d
 from support import integrate_2d_full_grid
 
 # closed forms precomputed with a 50-digit library: 2 + 6*gamma(5/3)*gamma(4/3)
@@ -25,12 +25,19 @@ P_EXACT_SC = 3.418399152312290
 P_EXACT_CR = 2.209199576156145
 
 
+def result_with(p, q, estimate=None):
+    """A pipeline record for p and q; its report is exact unless an
+    estimate is given."""
+    report = ConvergenceReport(1, 2.0 * p, estimate, exact=estimate is None)
+    return AverageKernelResult("t", q, ConvergenceSeries([1], [2.0 * p], "t"), report)
+
+
 def test_constant_kernel_averages_to_one(cache_dir):
     spec = parse_kernel("q=0; 2")
     result = pre_exponential_factor(spec, 25, cache_dir)
     assert result.p == pytest.approx(1.0, abs=1e-12)
     assert result.q == 0.0
-    assert result.remainder is None
+    assert result.report.exact
     assert result.remainder_value == 0.0
     assert result.kernel_id == "q=0; 2"
 
@@ -42,18 +49,18 @@ def test_factor_is_half_the_report(cache_dir):
         lambda x, y: eval_kernel(spec, x, y), 25, cache_dir, spec.label
     )
     report = full_report(series)
+    assert result.series == series
+    assert result.report == report
     assert result.p == 0.5 * report.final_value
-    assert result.remainder.remainder == 0.5 * report.estimate.remainder
-    assert result.remainder.anchor_error == 0.5 * report.estimate.anchor_error
-    assert result.remainder.slope == report.estimate.slope
+    assert result.remainder_value == 0.5 * report.estimate.remainder
 
 
 def test_factor_respects_fit_window(cache_dir):
     spec = builtin_kernel("CR")
     a = pre_exponential_factor(spec, 30, cache_dir)
     b = pre_exponential_factor(spec, 30, cache_dir, fit_window=(5, 20))
-    assert a.remainder.fit_window == (15, 29)
-    assert b.remainder.fit_window == (5, 20)
+    assert a.report.estimate.fit_window == (15, 29)
+    assert b.report.estimate.fit_window == (5, 20)
     assert a.p == b.p  # the window changes only the remainder fit
 
 
@@ -84,7 +91,7 @@ def test_kernels_share_one_load_per_order(tmp_path, monkeypatch):
 
 
 def test_average_kernel_power_law():
-    result = AverageKernelResult(p=2.0, q=4.0 / 3.0, remainder=None, kernel_id="t")
+    result = result_with(2.0, 4.0 / 3.0)
     assert average_kernel(result, 1.0) == 2.0
     ratio = average_kernel(result, 2.0) / average_kernel(result, 1.0)
     assert ratio == pytest.approx(2.0 ** (4.0 / 3.0), rel=1e-15)
@@ -92,7 +99,7 @@ def test_average_kernel_power_law():
 
 
 def test_average_kernel_rejects_bad_u():
-    result = AverageKernelResult(p=1.0, q=1.0, remainder=None, kernel_id="t")
+    result = result_with(1.0, 1.0)
     with pytest.raises(ValueError):
         average_kernel(result, 0.0)
     with pytest.raises(ValueError):
@@ -266,8 +273,5 @@ def test_average_agrees_with_oracle_at_moderate_order(cache_dir):
 
 
 def test_remainder_value_none_when_estimate_missing():
-    import avgkernel.extrapolate as ex
-
-    est = ex.RemainderEstimate(10, 1e-3, -0.5, None, (5, 9))
-    result = AverageKernelResult(p=1.0, q=0.0, remainder=est, kernel_id="t")
-    assert result.remainder_value is None
+    est = RemainderEstimate(10, 1e-3, -0.5, None, (5, 9))
+    assert result_with(1.0, 0.0, est).remainder_value is None

@@ -4,9 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from avgkernel import cli
+from avgkernel import average, cli
 
 
 def run_cli(*args, cache=None):
@@ -197,6 +198,46 @@ def test_table3_json(cache_dir):
     payload = json.loads(cp.stdout)
     assert [r["type"] for r in payload["rows"]] == ["FM", "CR", "SC", "SD"]
     assert payload["rows"][2]["q"] == 1.0
+
+
+def test_divergent_status(cache_dir):
+    # 1/(x*y) has a non-integrable singularity: its series grows with C > -1
+    kernel = "q=-2; 1/(x*y)"
+    cp = run_cli("converge", "--kernel", kernel, "--max-points", "30", cache=cache_dir)
+    assert cp.returncode == 0, cp.stderr
+    assert trailer(cp.stdout)[-2:] == ["# R = no estimate (C >= -1)", "# II = no estimate"]
+    cp = run_cli("report", "--kernel", kernel, "--max-points", "30", cache=cache_dir)
+    assert cp.returncode == 0, cp.stderr
+    row = cp.stdout.splitlines()[1].split(",")
+    assert float(row[3]) >= -1.0
+    assert row[4] == ""
+    for command in ("converge", "report"):
+        cp = run_cli(command, "--kernel", kernel, "--max-points", "30",
+                     "--format", "json", cache=cache_dir)
+        assert cp.returncode == 0, cp.stderr
+        payload = json.loads(cp.stdout)
+        assert payload["status"] == "divergent", command
+        assert payload["R"] is None, command
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table3_failure_keeps_completed_rows(fmt, cache_dir, monkeypatch, capsys):
+    evaluate = average.eval_kernel
+
+    def failing_sd(spec, x, y):
+        return np.nan if spec.label == "SD" else evaluate(spec, x, y)
+
+    monkeypatch.setattr(average, "eval_kernel", failing_sd)
+    argv = ["table3", "--max-points", "21", "--format", fmt, "--cache-dir", cache_dir]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("avgkernel: order 1: integrand is nan")
+    if fmt == "json":
+        assert captured.out == ""
+    else:
+        lines = captured.out.splitlines()
+        assert lines[0] == "# columns: type,p,q,beta_bar"
+        assert [line.split(",")[0] for line in lines[1:]] == ["FM", "CR", "SC"]
 
 
 def test_check_constant_kernel_passes(cache_dir):

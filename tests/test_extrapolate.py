@@ -175,21 +175,3 @@ def test_full_report_validates_inputs():
         with pytest.raises(ValueError):
             full_report(series, window)
 
-
-def test_report_scaled_halves_everything_linear():
-    report = full_report(power_law_series(40, -2.0))
-    half = report.scaled(0.5)
-    assert half.final_value == 0.5 * report.final_value
-    assert half.estimate.anchor_error == 0.5 * report.estimate.anchor_error
-    assert half.estimate.remainder == 0.5 * report.estimate.remainder
-    assert half.estimate.slope == report.estimate.slope
-    assert half.estimate.fit_window == report.estimate.fit_window
-    assert half.final_order == report.final_order
-
-
-def test_report_scaled_keeps_exact_flag():
-    report = full_report(ConvergenceSeries(list(range(1, 26)), [2.0] * 25, "c"))
-    half = report.scaled(0.5)
-    assert half.exact
-    assert half.remainder_value == 0.0
-    assert half.final_value == 1.0

@@ -8,20 +8,19 @@ from avgkernel.tensor_quad import (
     ConvergenceSeries,
     IntegrandError,
     convergence_series,
-    integrate_1d,
     integrate_2d,
 )
 
 
 def test_constant_1d(cache_dir):
     rule = load_or_compute_rule(10, cache_dir)
-    assert integrate_1d(rule, lambda x: np.ones_like(x)) == pytest.approx(1.0, abs=1e-14)
+    assert rule.weights @ np.ones(10) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_monomials_1d(cache_dir):
     rule = load_or_compute_rule(15, cache_dir)
     for m in range(10):
-        got = integrate_1d(rule, lambda x, m=m: x**m)
+        got = rule.weights @ rule.nodes**m
         assert got == pytest.approx(math.factorial(m), rel=1e-12)
 
 
@@ -29,26 +28,8 @@ def test_fractional_power_1d(cache_dir):
     # x^(1/3) is not polynomial, so convergence is slow and algebraic;
     # gamma(4/3) to about 1e-4 is all a 200-point rule delivers
     rule = load_or_compute_rule(200, cache_dir)
-    got = integrate_1d(rule, np.cbrt)
+    got = rule.weights @ np.cbrt(rule.nodes)
     assert got == pytest.approx(0.8929795115692492, abs=2e-4)
-
-
-def test_scalar_fallback_matches_vectorized(cache_dir):
-    rule = load_or_compute_rule(12, cache_dir)
-    vec = integrate_1d(rule, lambda x: np.exp(-x / 7.0))
-    scal = integrate_1d(rule, lambda x: math.exp(-x / 7.0))  # rejects arrays
-    assert scal == vec
-
-
-def test_integrand_error_1d_names_node(cache_dir):
-    rule = load_or_compute_rule(8, cache_dir)
-    bad = rule.nodes[2]
-
-    def f(x):
-        return np.where(x == bad, np.nan, 1.0)
-
-    with pytest.raises(IntegrandError, match="node 3"):
-        integrate_1d(rule, f)
 
 
 def test_2d_monomials_factorize(cache_dir):
@@ -61,7 +42,7 @@ def test_2d_monomials_factorize(cache_dir):
 def test_2d_separable_equals_product_of_1d(cache_dir):
     rule = load_or_compute_rule(12, cache_dir)
     two_d = integrate_2d(rule, lambda x, y: x * x / (1.0 + y))
-    prod = integrate_1d(rule, lambda x: x * x) * integrate_1d(rule, lambda y: 1.0 / (1.0 + y))
+    prod = (rule.weights @ rule.nodes**2) * (rule.weights @ (1.0 / (1.0 + rule.nodes)))
     assert two_d == pytest.approx(prod, rel=1e-13)
 
 
@@ -73,11 +54,12 @@ def test_2d_argument_swap_invariance(cache_dir):
     )
 
 
-def test_2d_scalar_fallback(cache_dir):
+def test_scalar_only_integrand_raises(cache_dir):
+    # f gets node arrays; a scalar-only f fails loudly, with no silent
+    # per-point retry
     rule = load_or_compute_rule(6, cache_dir)
-    vec = integrate_2d(rule, lambda x, y: np.sqrt(x) + y)
-    scal = integrate_2d(rule, lambda x, y: math.sqrt(x) + y)
-    assert scal == vec
+    with pytest.raises(TypeError):
+        integrate_2d(rule, lambda x, y: math.exp(-x - y))
 
 
 def test_2d_integrands_that_ignore_an_argument(cache_dir):
@@ -85,7 +67,7 @@ def test_2d_integrands_that_ignore_an_argument(cache_dir):
     rule = load_or_compute_rule(9, cache_dir)
     total = float(np.sum(rule.weights))
     assert integrate_2d(rule, lambda x, y: 2.0) == pytest.approx(2.0 * total**2, rel=1e-14)
-    mean = integrate_1d(rule, lambda x: x)
+    mean = rule.weights @ rule.nodes
     assert integrate_2d(rule, lambda x, y: x) == pytest.approx(mean * total, rel=1e-14)
     assert integrate_2d(rule, lambda x, y: y) == pytest.approx(mean * total, rel=1e-14)
 
