@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from avgkernel.average import AverageKernelResult
 from avgkernel.extrapolate import (
     ConvergenceReport,
     DegenerateFitError,
@@ -175,3 +176,23 @@ def test_full_report_validates_inputs():
         with pytest.raises(ValueError):
             full_report(series, window)
 
+
+
+def test_report_scaled_halves_everything_linear():
+    # the p-scale view of a Q-scale report is the report times 0.5, exact
+    # in binary floating point
+    series = power_law_series(40, -2.0)
+    report = full_report(series)
+    half = AverageKernelResult("synthetic", 0.0, series, report)
+    assert half.p == 0.5 * report.final_value
+    assert half.remainder_value == 0.5 * report.estimate.remainder
+    assert half.report.estimate.fit_window == report.estimate.fit_window
+    assert half.report.final_order == report.final_order
+
+
+def test_report_scaled_keeps_exact_flag():
+    series = ConvergenceSeries(list(range(1, 26)), [2.0] * 25, "c")
+    half = AverageKernelResult("c", 0.0, series, full_report(series))
+    assert half.report.exact
+    assert half.remainder_value == 0.0
+    assert half.p == 1.0

@@ -91,3 +91,18 @@ def test_derivative_low_orders():
     assert derivative(1, 0.7) == -1.0
     # L_2'(x) = x - 2 vanishes at x = 2
     assert derivative(2, 2.0) == pytest.approx(0.0, abs=1e-15)
+
+
+def plain_derivative(k, x):
+    """L_k'(x) from the unscaled float recurrence, for k and x small enough
+    that every term fits a double."""
+    prev, cur = 1.0, 1.0 - x
+    for n in range(1, k):
+        prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
+    return k * (cur - prev) / x
+
+
+def test_derivative_scaled_matches_plain():
+    for k in (1, 2, 9, 60):
+        for x in (0.3, 4.0, 75.0):
+            assert derivative(k, x) == pytest.approx(plain_derivative(k, x), rel=1e-12)

@@ -54,12 +54,21 @@ def test_2d_argument_swap_invariance(cache_dir):
     )
 
 
-def test_scalar_only_integrand_raises(cache_dir):
-    # f gets node arrays; a scalar-only f fails loudly, with no silent
-    # per-point retry
+def test_2d_scalar_fallback(cache_dir):
+    # there is no scalar fallback: f gets node arrays, and a scalar-only f
+    # fails loudly, with no silent per-point retry
     rule = load_or_compute_rule(6, cache_dir)
     with pytest.raises(TypeError):
         integrate_2d(rule, lambda x, y: math.exp(-x - y))
+
+
+def test_scalar_fallback_matches_vectorized(cache_dir):
+    # a caller with a scalar-only f wraps it in np.vectorize; the sum then
+    # matches the array integrand bitwise
+    rule = load_or_compute_rule(12, cache_dir)
+    vec = integrate_2d(rule, lambda x, y: np.sqrt(x) + y)
+    scal = integrate_2d(rule, np.vectorize(lambda x, y: math.sqrt(x) + y))
+    assert scal == vec
 
 
 def test_2d_integrands_that_ignore_an_argument(cache_dir):
