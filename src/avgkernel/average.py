@@ -75,6 +75,11 @@ def average_kernel(result: AverageKernelResult, u: float) -> float:
 
 # Kernels such as 1/x overflow below the smallest normal float.
 _TINY = np.finfo(float).tiny
+# The most s x t grid points the oracle evaluates at once.  A level is
+# taken in blocks of whole s rows, so a level within one block is summed
+# as a single array, and a finely resolved one needs tens of MB, not
+# hundreds.
+_BLOCK_POINTS = 1 << 18
 
 
 def _de_axes(h: float):
@@ -124,13 +129,18 @@ def population_average_oracle(spec: KernelSpec, u: float, points: int = 4000,
                 f"oracle refinements disagree: {values[-2]!r} vs {values[-1]!r}"
                 f" (tolerance {rtol:g}; the next level needs over {points} nodes)"
             )
-        # t < 1/2 <= 1 - t, so x < y survives the rounding of u s t
-        x, y, w = np.outer(u * s, t), np.outer(u * s, r), np.outer(ws, wt)
-        keep = (x >= _TINY) & (w > 0)
-        x, y, w = x[keep], y[keep], w[keep]
-        folded = (np.asarray(eval_kernel(spec, x, y), dtype=float)
-                  + np.asarray(eval_kernel(spec, y, x), dtype=float))
-        value = 0.5 * float(np.sum(w * folded))
+        rows = max(1, _BLOCK_POINTS // len(t))
+        total = 0.0
+        for lo in range(0, len(s), rows):
+            us, wb = u * s[lo:lo + rows], ws[lo:lo + rows]
+            # t < 1/2 <= 1 - t, so x < y survives the rounding of u s t
+            x, y, w = np.outer(us, t), np.outer(us, r), np.outer(wb, wt)
+            keep = (x >= _TINY) & (w > 0)
+            x, y, w = x[keep], y[keep], w[keep]
+            folded = (np.asarray(eval_kernel(spec, x, y), dtype=float)
+                      + np.asarray(eval_kernel(spec, y, x), dtype=float))
+            total += float(np.sum(w * folded))
+        value = 0.5 * total
         if not math.isfinite(value):
             raise ResolutionError(f"oracle produced non-finite value {value}")
         if values and abs(value - values[-1]) <= rtol * max(1.0, abs(value)):

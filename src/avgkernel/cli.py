@@ -139,6 +139,9 @@ def cmd_converge(args, cache_dir) -> int:
     k_max = _max_points(args, 2)
     spec = _kernel(args)
     window = _parse_window(args.fit_window, k_max)
+    if window is not None and k_max < _FIT_ORDERS:
+        raise ValueError(f"--fit-window needs --max-points >= {_FIT_ORDERS}"
+                         " (a remainder fit takes at least that many orders)")
     if k_max >= _FIT_ORDERS:
         result = pre_exponential_factor(spec, k_max, cache_dir, window)
         series, report = result.series, result.report

@@ -1,9 +1,12 @@
 """Tensor-product 2D Gauss-Laguerre quadrature and the order-by-order series.
 
-Only square rules (the same order on both axes) are supported.  The
-summation order is fixed so repeated runs are bitwise identical.  The
-series loads each rule once per process, so several kernels run over the
-same orders (as in table3) share one read or one build per order.
+Only square rules (the same order on both axes) are supported.  The double
+sum is contracted as w @ (vals @ w), so no k x k array beyond the kernel
+values and their finiteness mask is formed.  Its summation order is the
+BLAS library's, fixed for one library and CPU: repeated runs on one
+machine are bitwise identical, another BLAS build may differ in the last
+bits.  The series loads each rule once per process, so several kernels run
+over the same orders (as in table3) share one read or one build per order.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ def integrate_2d(rule: QuadratureRule, f) -> float:
     f is called once, with a k x 1 node column and a 1 x k node row, so
     per-node work runs k times, not k*k.  It must accept arrays and may
     return a scalar, a column, a row or a k x k grid, which is broadcast to
-    k x k; exceptions it raises propagate.
+    k x k; exceptions it raises propagate.  Every value is checked to be
+    finite, also where a weight has underflowed to 0, before the sum is
+    taken as w @ (vals @ w): the row sums sum_j f(x_i, x_j) A_j first, then
+    sum_i A_i times those.
     """
     x, y = rule.nodes[:, None], rule.nodes[None, :]
     vals = np.broadcast_to(np.asarray(f(x, y), dtype=float), (rule.order, rule.order))
@@ -46,8 +52,8 @@ def integrate_2d(rule: QuadratureRule, f) -> float:
             f"integrand is {vals[i, j]} at node pair ({i + 1}, {j + 1})"
             f" (x = {float(rule.nodes[i])!r}, y = {float(rule.nodes[j])!r})"
         )
-    weighted = np.outer(rule.weights, rule.weights) * vals
-    return float(np.sum(weighted))
+    w = rule.weights
+    return float(w @ (vals @ w))
 
 
 @functools.lru_cache(maxsize=None)

@@ -44,6 +44,7 @@ EDGE_CASES = (
     ["check", "--kernel", "q=0.5; 2", "--max-points", ORDER],
     ["report", "--kernel", "SC", "--max-points", "19"],
     ["converge", "--kernel", "SC", "--max-points", ORDER, "--fit-window", "20:5"],
+    ["converge", "--kernel", "SC", "--max-points", "10", "--fit-window", "2:5"],
     ["check", "--kernel", "x + y + 1", "--max-points", ORDER],
 )
 

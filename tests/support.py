@@ -67,9 +67,9 @@ def integrate_2d_full_grid(rule, f):
     """avgkernel.tensor_quad.integrate_2d with f called on two k x k grids.
 
     The package passes f the node column and row instead, so per-node work
-    in f runs k times, not k*k; the elementwise values and the summation
-    order are the same, so both must give the same sum.
+    in f runs k times, not k*k; the elementwise values and the contraction
+    w @ (vals @ w) are the same, so both must give the same sum.
     """
     vals = _on_full_grid(f, rule.nodes[:, None], rule.nodes[None, :])
-    return float(np.sum(np.outer(rule.weights, rule.weights) * vals))
+    return float(rule.weights @ (vals @ rule.weights))
 

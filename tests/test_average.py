@@ -260,6 +260,35 @@ def test_oracle_evaluates_the_kernel_at_few_points(monkeypatch):
             assert 0 < sum(counts) < 200_000, (kernel_id, u, sum(counts))
 
 
+@pytest.mark.parametrize("block_points", [100, 1000])
+@pytest.mark.parametrize("kernel", ["FM", "SD"])
+def test_oracle_blocks_agree_with_one_block(kernel, block_points, monkeypatch):
+    # a builtin's levels fit in one block at the default cap; split into
+    # blocks of whole s rows (one row each at 100 points), the level sums
+    # in another order but to the same value
+    spec = builtin_kernel(kernel)
+    whole = [population_average_oracle(spec, u) for u in (0.5, 2.0)]
+    monkeypatch.setattr(average, "_BLOCK_POINTS", block_points)
+    for u, one_block in zip((0.5, 2.0), whole):
+        assert population_average_oracle(spec, u) == pytest.approx(one_block, rel=1e-14)
+
+
+def test_oracle_evaluates_in_bounded_blocks(monkeypatch):
+    # a kink inside the t range drives the oracle to levels of millions of
+    # points; none reaches the kernel in one piece
+    sizes = []
+    evaluate = average.eval_kernel
+
+    def counted(spec, x, y):
+        sizes.append(np.broadcast(x, y).size)
+        return evaluate(spec, x, y)
+
+    monkeypatch.setattr(average, "eval_kernel", counted)
+    population_average_oracle(parse_kernel("q=1; abs(x-2*y)"), 1.0)
+    assert sum(sizes) > 10 * average._BLOCK_POINTS
+    assert max(sizes) <= average._BLOCK_POINTS
+
+
 def test_average_agrees_with_oracle_at_moderate_order(cache_dir):
     # the halved-quadrature result and the oracle must agree within the
     # oracle tolerance plus twice the remainder estimate

@@ -119,6 +119,16 @@ def test_converge_fit_window_flag(cache_dir):
     assert bad.returncode == 2
 
 
+def test_converge_rejects_fit_window_on_short_series(cache_dir):
+    # below 20 orders there is no fit, so a requested window is an error,
+    # not silently ignored
+    cp = run_cli("converge", "--kernel", "sc", "--max-points", "10",
+                 "--fit-window", "2:5", cache=cache_dir)
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert "--max-points >= 20" in cp.stderr
+
+
 def test_converge_json(cache_dir):
     cp = run_cli("converge", "--kernel", "sc", "--max-points", "21",
                  "--format", "json", cache=cache_dir)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from avgkernel.kernels import builtin_kernel, eval_kernel
 from avgkernel.rules import load_or_compute_rule
 from avgkernel.tensor_quad import (
     ConvergenceSeries,
@@ -90,6 +91,37 @@ def test_integrand_error_2d_names_pair(cache_dir):
 
     with pytest.raises(IntegrandError, match=r"node pair \(2, 5\)"):
         integrate_2d(rule, f)
+
+
+def test_integrand_error_at_flushed_weight_names_pair(cache_dir):
+    # the largest nodes of a high-order rule have weights that underflow to
+    # 0; a non-finite value there is still an error, not a silent 0 * inf
+    rule = load_or_compute_rule(361, cache_dir)
+    i = int(np.flatnonzero(rule.weights == 0.0)[0])
+    bx, by = rule.nodes[i], rule.nodes[2]
+
+    def f(x, y):
+        return np.where((x == bx) & (y == by), np.nan, 1.0)
+
+    with pytest.raises(IntegrandError, match=rf"is nan at node pair \({i + 1}, 3\)"):
+        integrate_2d(rule, f)
+
+
+@pytest.mark.parametrize("kernel", ["FM", "CR", "SC", "SD"])
+def test_contraction_within_rounding_of_exact_sum(kernel, cache_dir):
+    # w @ (vals @ w) sums in another order than the k*k products; it must
+    # stay within a few ulps of their correctly rounded sum
+    spec = builtin_kernel(kernel)
+
+    def f(x, y):
+        return eval_kernel(spec, x, y)
+
+    for k in (37, 120, 361):
+        rule = load_or_compute_rule(k, cache_dir)
+        terms = np.outer(rule.weights, rule.weights) * f(rule.nodes[:, None], rule.nodes[None, :])
+        exact = math.fsum(terms.ravel())
+        bound = 8 * 2.0**-52 * math.fsum(np.abs(terms).ravel())
+        assert abs(integrate_2d(rule, f) - exact) <= bound
 
 
 def test_series_structure(cache_dir):
