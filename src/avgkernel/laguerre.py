@@ -4,7 +4,9 @@ L_k(x) grows roughly like exp(x/2) * x^(-k/2-1/4) * k! near the end of the
 oscillatory region, so the plain recurrence overflows native doubles once k
 and x are both large (k around 400 for x near 4k).  _recurrence_scaled
 keeps its running terms as value * 2**shift and renormalizes by powers of
-two, which is exact.  The rule builder in rules.py is its caller.
+two, which is exact.  Each element may stop at its own degree, so one call
+serves the nodes of many rules.  The rule builder in rules.py is its
+caller.
 """
 
 from __future__ import annotations
@@ -20,19 +22,32 @@ _BIG = 2.0**512
 _SMALL = 2.0**-512
 
 
-def _recurrence_scaled(k: int, x):
+def _recurrence_scaled(k: int, x, degree=None):
     """Run the recurrence for k >= 1 with joint power-of-two rescaling.
 
     x is a float or an array of floats, evaluated elementwise.  Returns
-    (prev, cur, shift, step) of x's shape, where L_{k-1}(x) = prev * 2**shift,
-    L_k(x) = cur * 2**shift, and step * 2**shift is the magnitude of the
+    (prev, cur, shift, step) of x's shape, where L_{d-1}(x) = prev * 2**shift,
+    L_d(x) = cur * 2**shift, and step * 2**shift is the magnitude of the
     larger term entering the final recurrence step.  step gives root
-    finders a natural scale for judging residuals |L_k(x)| near a zero,
-    where the value itself carries total cancellation.  A float x gives
+    finders a natural scale for judging residuals |L_d(x)| near a zero,
+    where the value itself carries total cancellation.  The degree d is k
+    for every element, or, when degree is given, that integer array's
+    entry for the element, each in 1..k.  k - 1 steps run either way; an
+    element leaves the loop once it reaches its degree.  A float x gives
     Python floats and an int shift.
     """
     # [()] turns 0-d arrays into numpy scalars, whose arithmetic is cheap
     x = np.asarray(x, dtype=float)[()]
+    live = None
+    if degree is not None:
+        # largest degree first, so the elements still running are a prefix:
+        # live[n] of them take step n; out collects (prev, cur, shift, step)
+        # of the finished ones in this order
+        descending = -np.asarray(degree)
+        order = np.argsort(descending, kind="stable")
+        x = x[order]
+        live = np.searchsorted(descending[order], -np.arange(k)).tolist()
+        out = (np.empty_like(x), np.empty_like(x), np.empty(len(x), np.int64), np.empty_like(x))
     prev = np.ones(np.shape(x))[()]
     cur = 1.0 - x
     shift = np.zeros(np.shape(x), dtype=np.int64)[()]
@@ -45,11 +60,18 @@ def _recurrence_scaled(k: int, x):
     g = 3.0 * k + 3.0 + float(np.max(abs(x), initial=0.0))
     every = max(1, int(256.0 / math.log2(g))) if g < math.inf else 1
     for n in range(1, k):
+        if live is not None and live[n] < len(x):
+            # the elements of degree n are finished
+            a = live[n]
+            last = step[a:] if n == 1 else np.maximum(abs(t1[a:]), abs(t2[a:])) / n
+            for o, v in zip(out, (prev[a:], cur[a:], shift[a:], last)):
+                o[a:len(x)] = v
+            x, prev, cur, shift = x[:a], prev[:a], cur[:a], shift[:a]
         if n % every == 0:
             m = np.maximum(abs(prev), abs(cur))
-            out = (m > _BIG) | (m < _SMALL)
-            if np.any(out):
-                e = np.where(out, np.frexp(m)[1], 0)
+            out_of_band = (m > _BIG) | (m < _SMALL)
+            if np.any(out_of_band):
+                e = np.where(out_of_band, np.frexp(m)[1], 0)
                 prev = np.ldexp(prev, -e)
                 cur = np.ldexp(cur, -e)
                 shift = shift + e
@@ -60,4 +82,12 @@ def _recurrence_scaled(k: int, x):
         step = np.maximum(abs(t1), abs(t2)) / k
     if np.ndim(x) == 0:
         return float(prev), float(cur), int(shift), float(step)
-    return prev, cur, shift, step
+    if live is None:
+        return prev, cur, shift, step
+    result = []
+    for o, v in zip(out, (prev, cur, shift, step)):
+        o[:len(x)] = v
+        values = np.empty_like(o)
+        values[order] = o
+        result.append(values)
+    return tuple(result)

@@ -1,11 +1,14 @@
 """Gauss-Laguerre rules: nodes are zeros of L_k, weights from L_{k+1}.
 
 Asymptotic formulas seed all k zeros, and Newton steps on the scaled
-recurrence, run across the whole array of nodes, polish them together.  A
-node that this pass cannot confirm, by residual or by sign change, is
-found by a scalar sign-change bracket search instead.  One more vectorized
-pass, at order k+1, gives the weights.  Rules are cached on disk as one
-checksummed CSV per order.
+recurrence polish them together.  compute_rules builds many orders at
+once: their nodes share one array, so each Newton pass, the sign-change
+test and the weight pass run the recurrence once over the whole group,
+each node stopping at its own order; compute_rule is a group of one.  A
+node that the vectorized pass cannot confirm, by residual or by sign
+change, is found by a scalar sign-change bracket search instead.  One more
+vectorized pass, at order k+1, gives the weights.  Rules are cached on disk
+as one checksummed CSV per order.
 """
 
 from __future__ import annotations
@@ -158,6 +161,11 @@ _J0_ZEROS = (2.4048255576957724, 5.520078110286311, 8.653727912911013,
 _NEWTON_PASSES = 8
 # relative half-width of the sign-change acceptance test
 _SIGN_WIDTH = 1024 * 2.0**-52
+# most nodes built together by compute_rules (one order above it is built
+# alone).  The group's recurrence arrays, a dozen or so of 8 bytes per
+# node, then stay near 200 kB: a cold table3 at order 120 peaks at the same
+# RSS as with one order at a time, where 2**13 nodes added 0.7 MB.
+_BATCH_NODES = 2**11
 
 
 def _seeds(k: int) -> np.ndarray:
@@ -187,22 +195,24 @@ def _seeds(k: int) -> np.ndarray:
     return np.array(seeds)
 
 
-def _polish(k: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton-polish all zeros of L_k at once; returns (z, accepted mask).
+def _polish(degree: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-polish zeros of Laguerre polynomials at once; returns (z, accepted mask).
 
-    A node is accepted by the residual test |L_k| <= tol * step, or, once
-    its Newton steps have shrunk below the rounding noise, by a sign change
-    of L_k across z * (1 +- _SIGN_WIDTH).  Every node keeps the Newton
-    correction computed from its last evaluation.
+    z[i] is a zero of L_{degree[i]}; one array may hold the zeros of many
+    orders.  A node is accepted by the residual test |L_k| <= tol * step,
+    or, once its Newton steps have shrunk below the rounding noise, by a
+    sign change of L_k across z * (1 +- _SIGN_WIDTH).  Every node keeps the
+    Newton correction computed from its last evaluation.
     """
     z = z.copy()
-    passed = np.zeros(k, dtype=bool)
-    todo = np.arange(k)
+    passed = np.zeros(len(z), dtype=bool)
+    todo = np.arange(len(z))
     for _ in range(_NEWTON_PASSES):
         if len(todo) == 0:
             break
-        prev, cur, _, step = _recurrence_scaled(k, z[todo])
+        k = degree[todo]
         x = z[todo]
+        prev, cur, _, step = _recurrence_scaled(int(k.max()), x, k)
         dz = cur * x / (k * (cur - prev))
         z[todo] = x - dz
         passed[todo] = np.abs(cur) <= _RESIDUAL_TOL * step
@@ -213,32 +223,63 @@ def _polish(k: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(rest):
         x = z[rest]
         d = _SIGN_WIDTH * x
-        _, cur, _, _ = _recurrence_scaled(k, np.concatenate((x - d, x + d)))
+        k = np.tile(degree[rest], 2)
+        _, cur, _, _ = _recurrence_scaled(int(k.max()), np.concatenate((x - d, x + d)), k)
         below, above = np.split(cur, 2)
         accepted[rest] = below * above < 0.0
     return z, accepted
 
 
-def compute_rule(k: int) -> QuadratureRule:
-    """Construct the k-point rule from scratch (no caching)."""
-    if k < 1:
+def compute_rules(orders) -> list[QuadratureRule]:
+    """Construct the rules of the given orders from scratch (no caching).
+
+    The nodes of up to _BATCH_NODES nodes' worth of orders share one array,
+    so each Newton pass and the weight pass run the recurrence once for
+    the whole group; every rule is bitwise the one built on its own.
+    """
+    orders = [int(k) for k in orders]
+    if any(k < 1 for k in orders):
         raise ValueError("order must be >= 1")
-    seeds = _seeds(k)
-    nodes, accepted = _polish(k, seeds)
-    hi = 4.0 * k + 2.0
-    for i in np.flatnonzero(~accepted):
-        lo = nodes[i - 1] if i > 0 else 0.0
-        nodes[i] = _locate_root(k, i + 1, seeds[i], lo, hi)
+    rules, group = [], []
+    for k in orders:
+        if group and sum(group) + k > _BATCH_NODES:
+            rules += _build_group(group)
+            group = []
+        group.append(k)
+    return rules + _build_group(group) if group else rules
+
+
+def _build_group(orders: list[int]) -> list[QuadratureRule]:
+    """compute_rules for one group, whose nodes share one array."""
+    seeds = [_seeds(k) for k in orders]
+    degree = np.repeat(orders, orders)
+    nodes, accepted = _polish(degree, np.concatenate(seeds))
+    bounds = np.cumsum(orders)[:-1]
+    for k, own, confirmed, seed in zip(orders, np.split(nodes, bounds),
+                                       np.split(accepted, bounds), seeds):
+        for i in np.flatnonzero(~confirmed):
+            lo = own[i - 1] if i > 0 else 0.0
+            own[i] = _locate_root(k, i + 1, seed[i], lo, 4.0 * k + 2.0)
     # weights 1 / (x L_k'(x)^2) = x / ((k+1) L_{k+1}(x))^2 at the zeros
-    _, cur, shift, _ = _recurrence_scaled(k + 1, nodes)
+    _, cur, shift, _ = _recurrence_scaled(max(orders) + 1, nodes, degree + 1)
     mant, exp = np.frexp(cur)
-    weights = np.ldexp(nodes / ((k + 1.0) ** 2 * mant * mant), -2 * (exp + shift))
+    weights = np.ldexp(nodes / ((degree + 1.0) ** 2 * mant * mant), -2 * (exp + shift))
     # below the smallest normal double the tail contribution is noise
     weights[weights < _MIN_NORMAL] = 0.0
-    problem = _invariant_problem(k, nodes, weights)
-    if problem is not None:
-        raise ConvergenceError(f"rule of order {k} failed validation: {problem}")
-    return _read_only_rule(k, nodes, weights)
+    rules = []
+    for k, own_nodes, own_weights in zip(orders, np.split(nodes, bounds),
+                                         np.split(weights, bounds)):
+        problem = _invariant_problem(k, own_nodes, own_weights)
+        if problem is not None:
+            raise ConvergenceError(f"rule of order {k} failed validation: {problem}")
+        # each rule owns its arrays, allocated as a one-order build's are
+        rules.append(_read_only_rule(k, own_nodes.copy(), own_weights.copy()))
+    return rules
+
+
+def compute_rule(k: int) -> QuadratureRule:
+    """Construct the k-point rule from scratch (no caching)."""
+    return compute_rules([k])[0]
 
 
 def format_float(v: float) -> str:
@@ -276,11 +317,15 @@ def _parse_cache_text(text: str, k: int) -> QuadratureRule:
     if len(lines) != k + 1:
         raise _CorruptCache("wrong row count")
     try:
-        parsed = [line.split(",") for line in lines[1:]]
-        nodes = np.array([float(p[0]) for p in parsed])
-        weights = np.array([float(p[1]) for p in parsed])
-    except (ValueError, IndexError) as exc:
+        # one C-level conversion of every row; no line is a comment
+        rows = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
         raise _CorruptCache(f"bad row: {exc}") from exc
+    # loadtxt skips blank lines
+    if rows.shape != (k, 2):
+        raise _CorruptCache("bad row: not two fields per line")
+    # each column in an array of its own, allocated as a one-order build's are
+    nodes, weights = rows[:, 0].copy(), rows[:, 1].copy()
     if int(m.group(2)) != int(np.count_nonzero(weights == 0.0)):
         raise _CorruptCache("flushed count mismatch")
     problem = _invariant_problem(k, nodes, weights)
@@ -299,22 +344,32 @@ def default_cache_dir() -> str:
     return str(base / "avgkernel")
 
 
-def load_or_compute_rule(k: int, cache_dir: str | os.PathLike | None) -> QuadratureRule:
+def cache_path(k: int, cache_dir: str | os.PathLike | None) -> Path | None:
+    """The cache file of order k, or None when cache_dir disables caching."""
+    if cache_dir is None or str(cache_dir) == "":
+        return None
+    return Path(cache_dir) / f"glq_{k}.csv"
+
+
+def load_or_compute_rule(k: int, cache_dir: str | os.PathLike | None,
+                         built: QuadratureRule | None = None) -> QuadratureRule:
     """compute_rule with a read-through disk cache.
 
     Corrupt or stale cache files are recomputed and replaced.  An empty
     cache_dir (or None) disables caching entirely.  Writes go through a
     temp file and os.replace, so concurrent readers never see partials.
+    built, a rule of order k the caller has already constructed, stands in
+    for compute_rule.
     """
-    if cache_dir is None or str(cache_dir) == "":
-        return compute_rule(k)
-    path = Path(cache_dir) / f"glq_{k}.csv"
-    if path.is_file():
+    path = cache_path(k, cache_dir)
+    if path is not None and path.is_file():
         try:
             return _parse_cache_text(path.read_text(encoding="ascii", errors="replace"), k)
         except _CorruptCache:
             pass
-    rule = compute_rule(k)
+    rule = built if built is not None else compute_rule(k)
+    if path is None:
+        return rule
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".glq_{k}.", suffix=".tmp")
     try:

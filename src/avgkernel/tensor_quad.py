@@ -6,18 +6,18 @@ values and their finiteness mask is formed.  Its summation order is the
 BLAS library's, fixed for one library and CPU: repeated runs on one
 machine are bitwise identical, another BLAS build may differ in the last
 bits.  The series loads each rule once per process, so several kernels run
-over the same orders (as in table3) share one read or one build per order.
+over the same orders (as in table3) share one read or one build per order,
+and it builds all the orders missing from the cache in one batch.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import ConvergenceError, QuadratureRule, load_or_compute_rule
+from .rules import QuadratureRule, cache_path, compute_rules, load_or_compute_rule
 
 
 class IntegrandError(ArithmeticError):
@@ -56,16 +56,35 @@ def integrate_2d(rule: QuadratureRule, f) -> float:
     return float(w @ (vals @ w))
 
 
-@functools.lru_cache(maxsize=None)
-def _shared_rule(k: int, cache_dir) -> QuadratureRule:
-    """load_or_compute_rule, once per (k, cache_dir) in this process.
+# rules already loaded in this process, by (order, cache_dir)
+_LOADED: dict[tuple[int, object], QuadratureRule] = {}
+
+
+def _shared_rules(k_max: int, cache_dir):
+    """Yield the rules of orders 1..k_max, each loaded once per (k, cache_dir) in this process.
 
     Rules are read-only, so one object can serve every caller.  The memo
     holds both arrays of every order loaded: 16 * (1 + ... + k_max) bytes,
-    about 1 MB for orders 1..361.  The loader is looked up as a module
-    attribute at call time, so a wrapper set on it sees every real load.
+    about 1 MB for orders 1..361.  Orders neither loaded nor on disk are
+    built together by compute_rules first; then each order not yet loaded
+    goes through load_or_compute_rule when it is reached, which reads its
+    file or writes the rule just built.  The loader is looked up as a
+    module attribute at call time, so a wrapper set on it sees every real
+    load.
     """
-    return load_or_compute_rule(k, cache_dir)
+    # a corrupt cache file is left to load_or_compute_rule to rebuild
+    uncached = [k for k in range(1, k_max + 1)
+                if (k, cache_dir) not in _LOADED and not _has_cache_file(k, cache_dir)]
+    built = dict(zip(uncached, compute_rules(uncached)))
+    for k in range(1, k_max + 1):
+        if (k, cache_dir) not in _LOADED:
+            _LOADED[k, cache_dir] = load_or_compute_rule(k, cache_dir, built.pop(k, None))
+        yield _LOADED[k, cache_dir]
+
+
+def _has_cache_file(k: int, cache_dir) -> bool:
+    path = cache_path(k, cache_dir)
+    return path is not None and path.is_file()
 
 
 def convergence_series(f, k_max: int, cache_dir=None,
@@ -76,18 +95,13 @@ def convergence_series(f, k_max: int, cache_dir=None,
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    orders = []
     values = []
-    for k in range(1, k_max + 1):
+    for rule in _shared_rules(k_max, cache_dir):
         try:
-            rule = _shared_rule(k, cache_dir)
             q = integrate_2d(rule, f)
         except IntegrandError as exc:
-            raise IntegrandError(f"order {k}: {exc}") from exc
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"order {k}: {exc}") from exc
+            raise IntegrandError(f"order {rule.order}: {exc}") from exc
         if not math.isfinite(q):
-            raise IntegrandError(f"order {k}: quadrature value is {q}")
-        orders.append(k)
+            raise IntegrandError(f"order {rule.order}: quadrature value is {q}")
         values.append(q)
-    return ConvergenceSeries(orders, values, integrand_id)
+    return ConvergenceSeries(list(range(1, k_max + 1)), values, integrand_id)

@@ -76,13 +76,13 @@ def test_kernels_share_one_load_per_order(tmp_path, monkeypatch):
     loads = []
     load = tensor_quad.load_or_compute_rule
 
-    def counted(k, cache_dir):
+    def counted(k, cache_dir, built=None):
         loads.append(k)
-        return load(k, cache_dir)
+        return load(k, cache_dir, built)
 
     monkeypatch.setattr(tensor_quad, "load_or_compute_rule", counted)
     # rules stay loaded for the process; forget those of earlier tests
-    tensor_quad._shared_rule.cache_clear()
+    tensor_quad._LOADED.clear()
     for cache_dir in (str(tmp_path), ""):
         loads.clear()
         for kernel_id in ("FM", "CR", "SC", "SD"):

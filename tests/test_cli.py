@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from avgkernel import average, cli
+from avgkernel import average, cli, rules, tensor_quad
 
 
 def run_cli(*args, cache=None):
@@ -248,6 +248,27 @@ def test_table3_failure_keeps_completed_rows(fmt, cache_dir, monkeypatch, capsys
         lines = captured.out.splitlines()
         assert lines[0] == "# columns: type,p,q,beta_bar"
         assert [line.split(",")[0] for line in lines[1:]] == ["FM", "CR", "SC"]
+
+
+def test_table3_without_cache_builds_each_order_once(monkeypatch, capsys):
+    built = []
+    compute_rules, compute_rule = tensor_quad.compute_rules, rules.compute_rule
+
+    def batch(orders):
+        built.extend(orders)
+        return compute_rules(orders)
+
+    def single(k):
+        built.append(k)
+        return compute_rule(k)
+
+    monkeypatch.setattr(tensor_quad, "compute_rules", batch)
+    monkeypatch.setattr(rules, "compute_rule", single)
+    # forget the rules earlier tests loaded in this process
+    monkeypatch.setattr(tensor_quad, "_LOADED", {})
+    assert cli.main(["table3", "--max-points", "25", "--cache-dir", ""]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert built == list(range(1, 26))
 
 
 def test_check_constant_kernel_passes(cache_dir):

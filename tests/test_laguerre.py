@@ -77,6 +77,15 @@ def test_recurrence_matches_stepwise_reference_bitwise():
         got = [_normalized_values(float(p), float(c), int(s), float(t))
                for p, c, s, t in zip(prev, cur, shift, step)]
         assert got == expected
+    # one call with a degree per element, in no particular order
+    degrees = np.array([7, 400, 1, 80, 2, 361, 1, 400, 80] * len(xs))
+    x = np.repeat(xs, 9)
+    expected = [_normalized_values(*recurrence_scaled_stepwise(int(k), v))
+                for k, v in zip(degrees, x)]
+    prev, cur, shift, step = _recurrence_scaled(400, x, degrees)
+    got = [_normalized_values(float(p), float(c), int(s), float(t))
+           for p, c, s, t in zip(prev, cur, shift, step)]
+    assert got == expected
 
 
 def test_derivative_matches_exact_series():

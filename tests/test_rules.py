@@ -9,10 +9,19 @@ from avgkernel import rules
 from avgkernel.rules import (
     QuadratureRule,
     compute_rule,
+    compute_rules,
     default_cache_dir,
     format_float,
     load_or_compute_rule,
 )
+
+# sha256 of the cache files that the one-order-at-a-time builder, which
+# compute_rules replaced, wrote for these orders
+FROZEN_FILE_SHA256 = {
+    10: "2b9756e4418c338a77e8013fea5b7d6b5e9e531ce1d6a493a8218f6ddfb38963",
+    120: "21066279658b0e83ccc825bac870abc3f4a410d88875e8b0dd8404ce7021a5cb",
+    361: "2a0208a4187449c84d82887e5dc60dceaa8207b1cdb99de4f9622854d089cec5",
+}
 
 # ten-point reference values, nodes and leading weights truncated to four
 # decimals, trailing weights to two significant figures
@@ -127,7 +136,8 @@ def test_matches_scipy_at_high_order(cache_dir):
 def test_scalar_fallback_builds_the_same_rule(monkeypatch):
     normal = {k: compute_rule(k) for k in (10, 120)}
     # the vectorized pass accepts nothing: every node takes _locate_root
-    monkeypatch.setattr(rules, "_polish", lambda k, z: (z.copy(), np.zeros(k, dtype=bool)))
+    monkeypatch.setattr(rules, "_polish",
+                        lambda degree, z: (z.copy(), np.zeros(len(z), dtype=bool)))
     calls = []
     locate = rules._locate_root
 
@@ -142,6 +152,60 @@ def test_scalar_fallback_builds_the_same_rule(monkeypatch):
         assert len(calls) == k
         assert rules._invariant_problem(k, forced.nodes, forced.weights) is None
         assert np.max(np.abs(forced.nodes / rule.nodes - 1.0)) <= 1e-12
+    # one batch of both orders takes the same scalar path for every node
+    calls.clear()
+    batch = rules.compute_rules(normal)
+    assert len(calls) == 130
+    for rule, forced in zip(normal.values(), batch):
+        assert np.max(np.abs(forced.nodes / rule.nodes - 1.0)) <= 1e-12
+    roots_laguerre = pytest.importorskip("scipy.special").roots_laguerre
+    for forced in batch:
+        assert np.max(np.abs(forced.nodes / roots_laguerre(forced.order)[0] - 1.0)) <= 2e-12
+
+
+def _same_rule(a, b):
+    return (a.order == b.order and a.nodes.tobytes() == b.nodes.tobytes()
+            and a.weights.tobytes() == b.weights.tobytes())
+
+
+def test_batched_build_matches_single_builds(monkeypatch):
+    for rule in compute_rules(range(1, 401)):
+        assert _same_rule(rule, compute_rule(rule.order)), rule.order
+    # the two largest orders the CLI accepts, built as one group
+    monkeypatch.setattr(rules, "_BATCH_NODES", 3999)
+    for rule in compute_rules([1999, 2000]):
+        assert _same_rule(rule, compute_rule(rule.order)), rule.order
+
+
+def test_batches_stay_within_the_node_bound(monkeypatch):
+    monkeypatch.setattr(rules, "_BATCH_NODES", 40)
+    calls = []
+    recurrence = rules._recurrence_scaled
+
+    def counted(k, x, degree=None):
+        calls.append((k, np.size(x)))
+        return recurrence(k, x, degree)
+
+    monkeypatch.setattr(rules, "_recurrence_scaled", counted)
+    built = compute_rules([3, 30, 9, 50, 12])
+    assert [rule.order for rule in built] == [3, 30, 9, 50, 12]
+    # the groups are {3, 30}, {9}, {50} and {12}: each weight pass runs
+    # to one order above the group's largest over all its nodes
+    assert {(31, 33), (10, 9), (51, 50), (13, 12)} <= set(calls)
+    # the sign-change test evaluates nodes on both sides: up to twice the bound
+    assert all(size <= 2 * 40 for k, size in calls if k < 50)
+    monkeypatch.undo()
+    for rule in built:
+        assert _same_rule(rule, compute_rule(rule.order)), rule.order
+
+
+def test_cache_files_match_frozen_digests(tmp_path):
+    for rule in compute_rules(FROZEN_FILE_SHA256):
+        k = rule.order
+        load_or_compute_rule(k, tmp_path, rule)
+        data = (tmp_path / f"glq_{k}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == FROZEN_FILE_SHA256[k], k
+        assert _same_rule(load_or_compute_rule(k, tmp_path), rule)
 
 
 def test_high_order_tail_weights_flush_to_zero():
@@ -242,6 +306,29 @@ def test_cache_corruption_recovers(tmp_path):
         rule = load_or_compute_rule(6, tmp_path)
         assert rule.nodes.tobytes() == good.nodes.tobytes()
         # the bad file was replaced with a clean one
+        assert path.read_text() == text
+
+
+def test_malformed_rows_behind_a_valid_checksum_are_rebuilt(tmp_path):
+    good = load_or_compute_rule(4, tmp_path)
+    path = tmp_path / "glq_4.csv"
+    text = path.read_text()
+    header, *rows = text[: text.rfind("# sha256=")].splitlines()
+    node, weight = rows[1].split(",")
+    for row in (
+        node,                      # one field
+        "",                        # blank line
+        f"{node},,{weight}",       # empty field
+        f"{node}x,{weight}",       # trailing junk
+        f"{node}\x00,{weight}",    # NUL byte
+        f"0x1p-1,{weight}",        # hexadecimal float
+        f"{node};{weight}",        # wrong separator
+    ):
+        body = "\n".join([header, rows[0], row, *rows[2:]]) + "\n"
+        digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+        path.write_text(f"{body}# sha256={digest}\n")
+        rule = load_or_compute_rule(4, tmp_path)
+        assert _same_rule(rule, good), repr(row)
         assert path.read_text() == text
 
 
