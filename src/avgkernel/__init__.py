@@ -26,8 +26,6 @@ from .kernels import (
     NonHomogeneousError,
     builtin_kernel,
     eval_kernel,
-    euler_identity_residual,
-    format_kernel,
     homogeneity_degree,
     parse_kernel,
 )
@@ -71,10 +69,8 @@ __all__ = [
     "default_window",
     "error_sequence",
     "eval_kernel",
-    "euler_identity_residual",
     "fit_slope",
     "format_float",
-    "format_kernel",
     "full_report",
     "homogeneity_degree",
     "integrate_2d",

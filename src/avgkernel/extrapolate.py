@@ -110,8 +110,9 @@ def full_report(series: ConvergenceSeries, window=None) -> ConvergenceReport:
     a converged integrand (constant, or exactly integrated polynomial)
     produces eps at roundoff scale, not exact zeros, and fitting that noise
     would be meaningless.  The floor is 1e-10 relative to the series
-    magnitude, matching the accuracy of the weight construction itself at
-    order ~400.
+    magnitude, well above that rounding (the weights are good to about
+    1e-12 at order 361).  It decides whether a series is reported exact or
+    estimated, so moving it could change the printed status.
     """
     if len(series.values) < 20:
         raise ValueError("series too short for a report (need >= 20 orders)")

@@ -86,15 +86,6 @@ _BUILTINS = {
     "CR": (_beta_cr, 0.0),
 }
 
-# parseable transcription of each builtin, used by the pretty-printer
-_BUILTIN_TEXT = {
-    "SC": "(x^(1/3)+y^(1/3))^3",
-    "SD": "(x^(1/3)+y^(1/3))^3*abs(x^(1/3)-y^(1/3))",
-    "FM": "(x^(-1)+y^(-1))^(1/2)*(x^(1/3)+y^(1/3))^2",
-    "CR": "(x^(-1/3)+y^(-1/3))*(x^(1/3)+y^(1/3))",
-}
-
-
 def builtin_kernel(kernel_id: str) -> KernelSpec:
     key = kernel_id.strip().upper()
     if key not in _BUILTINS:
@@ -256,27 +247,6 @@ def _eval_tree(node, x, y):
     raise AssertionError(f"unknown node kind {kind!r}")
 
 
-def _tree_text(node):
-    kind = node[0]
-    if kind == "num":
-        return repr(node[1])
-    if kind == "var":
-        return node[1]
-    if kind == "neg":
-        return f"(-{_tree_text(node[1])})"
-    if kind == "abs":
-        return f"abs({_tree_text(node[1])})"
-    # full parentheses preserve the tree shape (and hence values) exactly
-    return f"({_tree_text(node[1])}{kind}{_tree_text(node[2])})"
-
-
-def format_kernel(spec: KernelSpec) -> str:
-    """Parseable text form; re-parsing gives identical values."""
-    if isinstance(spec.source, str):
-        return _BUILTIN_TEXT[spec.source]
-    return _tree_text(spec.source)
-
-
 def eval_kernel(spec: KernelSpec, x, y):
     """beta(x, y) for scalars or numpy arrays (arrays may carry NaN through;
     scalar domain failures raise KernelDomainError)."""
@@ -378,21 +348,3 @@ def parse_kernel(text: str) -> KernelSpec:
     if explicit_q is None:
         spec = replace(spec, degree_q=homogeneity_degree(spec))
     return spec
-
-
-def euler_identity_residual(spec: KernelSpec, x: float, y: float, h: float) -> float:
-    """x db/dx + y db/dy - q b, centrally differenced and scaled by b.
-
-    The caller keeps (x, y) away from non-smooth loci (the SD diagonal);
-    smooth homogeneous kernels give O(h^2).
-    """
-    if spec.degree_q is None:
-        raise ValueError("kernel has no degree set")
-    b = eval_kernel(spec, x, y)
-    dbdx = (eval_kernel(spec, x * (1 + h), y) - eval_kernel(spec, x * (1 - h), y)) / (
-        2 * h * x
-    )
-    dbdy = (eval_kernel(spec, x, y * (1 + h)) - eval_kernel(spec, x, y * (1 - h))) / (
-        2 * h * y
-    )
-    return (x * dbdx + y * dbdy - spec.degree_q * b) / b

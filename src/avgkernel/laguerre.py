@@ -4,9 +4,9 @@ L_k(x) grows roughly like exp(x/2) * x^(-k/2-1/4) * k! near the end of the
 oscillatory region, so the plain recurrence overflows native doubles once k
 and x are both large (k around 400 for x near 4k).  _recurrence_scaled
 keeps its running terms as value * 2**shift and renormalizes by powers of
-two, which is exact.  Each element may stop at its own degree, so one call
-serves the nodes of many rules.  The rule builder in rules.py is its
-caller.
+two, which is exact.  Each element stops at its own degree, so one call
+serves the nodes of many rules.  The rule builder in rules.py is its only
+caller: every Newton pass and the weight pass are one call each.
 """
 
 from __future__ import annotations
@@ -22,35 +22,29 @@ _BIG = 2.0**512
 _SMALL = 2.0**-512
 
 
-def _recurrence_scaled(k: int, x, degree=None):
-    """Run the recurrence for k >= 1 with joint power-of-two rescaling.
+def _recurrence_scaled(k: int, x, degree):
+    """Run the recurrence with joint power-of-two rescaling, elementwise.
 
-    x is a float or an array of floats, evaluated elementwise.  Returns
-    (prev, cur, shift, step) of x's shape, where L_{d-1}(x) = prev * 2**shift,
-    L_d(x) = cur * 2**shift, and step * 2**shift is the magnitude of the
-    larger term entering the final recurrence step.  step gives root
+    x is an array of floats and degree an integer array of the same length,
+    each entry in 1..k.  Returns (prev, cur, shift, step), arrays of x's
+    length, where L_{d-1}(x) = prev * 2**shift, L_d(x) = cur * 2**shift
+    for the element's degree d, and step * 2**shift is the magnitude of the
+    larger term entering its final recurrence step.  step gives root
     finders a natural scale for judging residuals |L_d(x)| near a zero,
-    where the value itself carries total cancellation.  The degree d is k
-    for every element, or, when degree is given, that integer array's
-    entry for the element, each in 1..k.  k - 1 steps run either way; an
-    element leaves the loop once it reaches its degree.  A float x gives
-    Python floats and an int shift.
+    where the value itself carries total cancellation.  k - 1 steps run;
+    an element leaves the loop once it reaches its degree.
     """
-    # [()] turns 0-d arrays into numpy scalars, whose arithmetic is cheap
-    x = np.asarray(x, dtype=float)[()]
-    live = None
-    if degree is not None:
-        # largest degree first, so the elements still running are a prefix:
-        # live[n] of them take step n; out collects (prev, cur, shift, step)
-        # of the finished ones in this order
-        descending = -np.asarray(degree)
-        order = np.argsort(descending, kind="stable")
-        x = x[order]
-        live = np.searchsorted(descending[order], -np.arange(k)).tolist()
-        out = (np.empty_like(x), np.empty_like(x), np.empty(len(x), np.int64), np.empty_like(x))
-    prev = np.ones(np.shape(x))[()]
+    # largest degree first, so the elements still running are a prefix:
+    # live[n] of them take step n; out collects (prev, cur, shift, step) of
+    # the finished ones in this order
+    descending = -np.asarray(degree)
+    order = np.argsort(descending, kind="stable")
+    x = np.asarray(x, dtype=float)[order]
+    live = np.searchsorted(descending[order], -np.arange(k)).tolist()
+    out = (np.empty_like(x), np.empty_like(x), np.empty(len(x), np.int64), np.empty_like(x))
+    prev = np.ones(len(x))
     cur = 1.0 - x
-    shift = np.zeros(np.shape(x), dtype=np.int64)[()]
+    shift = np.zeros(len(x), dtype=np.int64)
     step = np.maximum(abs(cur), 1.0)
     # Rescaling by a power of two is exact, so how often it happens does
     # not change the result.  One step multiplies max(|prev|, |cur|) by at
@@ -60,7 +54,7 @@ def _recurrence_scaled(k: int, x, degree=None):
     g = 3.0 * k + 3.0 + float(np.max(abs(x), initial=0.0))
     every = max(1, int(256.0 / math.log2(g))) if g < math.inf else 1
     for n in range(1, k):
-        if live is not None and live[n] < len(x):
+        if live[n] < len(x):
             # the elements of degree n are finished
             a = live[n]
             last = step[a:] if n == 1 else np.maximum(abs(t1[a:]), abs(t2[a:])) / n
@@ -80,10 +74,6 @@ def _recurrence_scaled(k: int, x, degree=None):
         prev, cur = cur, (t1 - t2) / (n + 1)
     if k > 1:
         step = np.maximum(abs(t1), abs(t2)) / k
-    if np.ndim(x) == 0:
-        return float(prev), float(cur), int(shift), float(step)
-    if live is None:
-        return prev, cur, shift, step
     result = []
     for o, v in zip(out, (prev, cur, shift, step)):
         o[:len(x)] = v

@@ -1,20 +1,20 @@
-"""Gauss-Laguerre rules: nodes are zeros of L_k, weights from L_{k+1}.
+"""Gauss-Laguerre rules: nodes are zeros of L_k, weights from L_k'.
 
 Asymptotic formulas seed all k zeros, and Newton steps on the scaled
 recurrence polish them together.  compute_rules builds many orders at
-once: their nodes share one array, so each Newton pass, the sign-change
-test and the weight pass run the recurrence once over the whole group,
-each node stopping at its own order; compute_rule is a group of one.  A
-node that the vectorized pass cannot confirm, by residual or by sign
-change, is found by a scalar sign-change bracket search instead.  One more
-vectorized pass, at order k+1, gives the weights.  Rules are cached on disk
-as one checksummed CSV per order.
+once: their nodes share one array, so the seeds are one numpy expression,
+and each Newton pass and the weight pass run the recurrence once over the
+whole group, each node stopping at its own order; compute_rule is a group
+of one.  A node stops on a small residual or when its steps reach the
+rounding noise; a group whose nodes are not all converged, or not spaced
+like their seeds, raises ConvergenceError.  The weights come from L_k'
+at the same degree.  Rules are cached on disk as one checksummed CSV per
+order.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import re
 import sys
@@ -26,18 +26,17 @@ import numpy as np
 
 from .laguerre import _recurrence_scaled
 
-_MAX_STEPS = 200
 _RESIDUAL_TOL = 1e-13
 _MIN_NORMAL = sys.float_info.min
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _HEADER_RE = re.compile(
     rf"# gauss-laguerre order=(\d+) flushed=(\d+) version={_FORMAT_VERSION}$")
 _CHECKSUM_MARKER = "# sha256="
 
 
 class ConvergenceError(RuntimeError):
-    """A Newton root search failed to converge within the step budget."""
+    """Rule construction failed: a node did not converge, or a rule failed its checks."""
 
 
 class _CorruptCache(Exception):
@@ -82,130 +81,59 @@ def _invariant_problem(order: int, nodes: np.ndarray, weights: np.ndarray) -> st
     return None
 
 
-def _locate_root(k: int, i: int, seed: float, lo: float, hi: float) -> float:
-    """Find the i-th zero of L_k in (lo, hi), lo being the previous zero.
-
-    L_k is positive just right of lo when i is odd counting from 1 (it
-    starts at L_k(0) = 1 and flips sign at every zero), so the sign tells
-    which side of the target we are on.  A sign-change bracket is
-    established around the seed first, then Newton runs with bisection as
-    the fallback whenever a step would leave the bracket.
-    """
-    s_left = 1.0 if i % 2 == 1 else -1.0
-    budget = _MAX_STEPS
-
-    def evaluate(x):
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise ConvergenceError(f"root {i} of L_{k} did not converge in {_MAX_STEPS} steps")
-        prev, cur, _, step = _recurrence_scaled(k, x)
-        return prev, cur, step
-
-    z = min(max(seed, lo + (hi - lo) * 1e-12), hi)
-    prev, cur, step = evaluate(z)
-    if abs(cur) <= _RESIDUAL_TOL * step:
-        return z
-
-    if cur * s_left > 0.0:
-        # left of the root: march right with a growing step
-        a = z
-        d = 0.25 * max(z - lo, 1e-6)
-        b = min(z + d, hi)
-        while True:
-            _, cur_b, step_b = evaluate(b)
-            if abs(cur_b) <= _RESIDUAL_TOL * step_b:
-                return b
-            if cur_b * s_left < 0.0:
-                break
-            a = b
-            d *= 2.0
-            if b >= hi:
-                raise ConvergenceError(f"no sign change found for root {i} of L_{k}")
-            b = min(b + d, hi)
-    else:
-        # overshot: halve back toward the previous root
-        b = z
-        while True:
-            cand = lo + 0.5 * (b - lo)
-            _, cur_c, step_c = evaluate(cand)
-            if abs(cur_c) <= _RESIDUAL_TOL * step_c:
-                return cand
-            if cur_c * s_left > 0.0:
-                a = cand
-                break
-            b = cand
-
-    # safeguarded Newton inside (a, b)
-    z = 0.5 * (a + b)
-    while True:
-        prev, cur, step = evaluate(z)
-        if abs(cur) <= _RESIDUAL_TOL * step:
-            return z
-        if cur * s_left > 0.0:
-            a = z
-        else:
-            b = z
-        denom = k * (cur - prev)
-        znew = z - cur * z / denom if denom != 0.0 else 0.5 * (a + b)
-        if not a < znew < b:
-            znew = 0.5 * (a + b)
-        if znew == z:
-            return z
-        z = znew
-
-
 # first zeros of the Bessel function J_0, for Gatteschi's small-node seeds
-_J0_ZEROS = (2.4048255576957724, 5.520078110286311, 8.653727912911013,
-             11.791534439014281, 14.930917708487787, 18.071063967910924)
+_J0_ZEROS = np.array([2.4048255576957724, 5.520078110286311, 8.653727912911013,
+                      11.791534439014281, 14.930917708487787, 18.071063967910924])
+# Newton steps on theta - sin(theta) = t; 6 reach the converged value
+_SEED_STEPS = 6
 _NEWTON_PASSES = 8
-# relative half-width of the sign-change acceptance test
-_SIGN_WIDTH = 1024 * 2.0**-52
+# a Newton step below this relative width is rounding noise
+_NOISE_WIDTH = 1024 * 2.0**-52
 # most nodes built together by compute_rules (one order above it is built
-# alone).  The group's recurrence arrays, a dozen or so of 8 bytes per
-# node, then stay near 200 kB: a cold table3 at order 120 peaks at the same
-# RSS as with one order at a time, where 2**13 nodes added 0.7 MB.
+# alone).  The group's arrays, the recurrence terms and the seeds'
+# temporaries, about twenty of 8 bytes per node, then stay near 300 kB: a
+# cold table3 at order 120 peaks at the same RSS as with groups of 2**9 or
+# 2**10 nodes, where 2**13 nodes added 0.7 MB.
 _BATCH_NODES = 2**11
 
 
-def _seeds(k: int) -> np.ndarray:
-    """Asymptotic estimates of the k zeros of L_k, in increasing order.
+def _seeds(orders: list[int]) -> np.ndarray:
+    """Asymptotic estimates of the zeros of L_k for each k in orders.
 
-    Gatteschi's Bessel-function form for the smallest few, Tricomi's
-    formula for the rest (Gatteschi, J. Comput. Appl. Math. 2002); both are
-    within 1% of the node spacing for every k.
+    Each order's k estimates come in increasing order, the orders one after
+    another.  Gatteschi's Bessel-function form for the smallest few,
+    Tricomi's formula for the rest (Gatteschi, J. Comput. Appl. Math.
+    2002); both are within 1% of the node spacing for every k.
     """
+    k = np.repeat(orders, orders)
+    i = np.arange(1, len(k) + 1) - np.repeat(np.cumsum(orders) - orders, orders)
     nu = 4.0 * k + 2.0
-    seeds = []
-    for i in range(1, k + 1):
-        if i <= min(len(_J0_ZEROS), k // 3):
-            j2 = _J0_ZEROS[i - 1] ** 2
-            seeds.append(j2 / nu * (1.0 + (j2 + 2.0) / (3.0 * nu * nu)))
-            continue
-        # theta - sin(theta) = t, by Newton from below (convex, increasing)
-        t = math.pi * (4 * k - 4 * i + 3) / nu
-        theta = (6.0 * t) ** (1.0 / 3.0)
-        for _ in range(_MAX_STEPS):
-            d = (theta - math.sin(theta) - t) / (1.0 - math.cos(theta))
-            theta -= d
-            if abs(d) <= 1e-16 * theta:
-                break
-        s = math.cos(0.5 * theta) ** 2
-        seeds.append(nu * s - (1.25 / (1.0 - s) ** 2 - 1.0 / (1.0 - s) - 1.0) / (3.0 * nu))
-    return np.array(seeds)
+    # theta - sin(theta) = t, by Newton from below (convex, increasing)
+    t = np.pi * (4 * k - 4 * i + 3) / nu
+    theta = np.cbrt(6.0 * t)
+    for _ in range(_SEED_STEPS):
+        theta -= (theta - np.sin(theta) - t) / (1.0 - np.cos(theta))
+    s = np.cos(0.5 * theta) ** 2
+    seeds = nu * s - (1.25 / (1.0 - s) ** 2 - 1.0 / (1.0 - s) - 1.0) / (3.0 * nu)
+    small = i <= np.minimum(len(_J0_ZEROS), k // 3)
+    j2 = _J0_ZEROS[i[small] - 1] ** 2
+    nu = nu[small]
+    seeds[small] = j2 / nu * (1.0 + (j2 + 2.0) / (3.0 * nu * nu))
+    return seeds
 
 
-def _polish(degree: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton-polish zeros of Laguerre polynomials at once; returns (z, accepted mask).
+def _polish(degree: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Newton-polish zeros of Laguerre polynomials at once.
 
     z[i] is a zero of L_{degree[i]}; one array may hold the zeros of many
-    orders.  A node is accepted by the residual test |L_k| <= tol * step,
-    or, once its Newton steps have shrunk below the rounding noise, by a
-    sign change of L_k across z * (1 +- _SIGN_WIDTH).  Every node keeps the
-    Newton correction computed from its last evaluation.
+    orders.  A node stops when the residual test |L_k| <= tol * step
+    passes, when its Newton step falls below the rounding noise, or when
+    its step stops shrinking (at least half the one before): a converged
+    iterate only wanders within the noise of L_k's evaluation.  Every node
+    keeps the Newton correction computed from its last evaluation.
     """
     z = z.copy()
-    passed = np.zeros(len(z), dtype=bool)
+    last = np.full(len(z), np.inf)
     todo = np.arange(len(z))
     for _ in range(_NEWTON_PASSES):
         if len(todo) == 0:
@@ -215,19 +143,17 @@ def _polish(degree: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         prev, cur, _, step = _recurrence_scaled(int(k.max()), x, k)
         dz = cur * x / (k * (cur - prev))
         z[todo] = x - dz
-        passed[todo] = np.abs(cur) <= _RESIDUAL_TOL * step
+        size = np.abs(dz)
         # written so that a NaN step keeps the node in the loop
-        todo = todo[~passed[todo] & ~(np.abs(dz) <= _SIGN_WIDTH * np.abs(x))]
-    accepted = passed.copy()
-    rest = np.flatnonzero(~passed)
-    if len(rest):
-        x = z[rest]
-        d = _SIGN_WIDTH * x
-        k = np.tile(degree[rest], 2)
-        _, cur, _, _ = _recurrence_scaled(int(k.max()), np.concatenate((x - d, x + d)), k)
-        below, above = np.split(cur, 2)
-        accepted[rest] = below * above < 0.0
-    return z, accepted
+        stopped = ((np.abs(cur) <= _RESIDUAL_TOL * step) | (size <= _NOISE_WIDTH * np.abs(x))
+                   | (size >= 0.5 * last[todo]))
+        last[todo] = size
+        todo = todo[~stopped]
+    if len(todo):
+        orders = ", ".join(map(str, np.unique(degree[todo])))
+        raise ConvergenceError(
+            f"{len(todo)} zeros of order(s) {orders} still moving after {_NEWTON_PASSES} Newton passes")
+    return z
 
 
 def compute_rules(orders) -> list[QuadratureRule]:
@@ -251,24 +177,25 @@ def compute_rules(orders) -> list[QuadratureRule]:
 
 def _build_group(orders: list[int]) -> list[QuadratureRule]:
     """compute_rules for one group, whose nodes share one array."""
-    seeds = [_seeds(k) for k in orders]
     degree = np.repeat(orders, orders)
-    nodes, accepted = _polish(degree, np.concatenate(seeds))
-    bounds = np.cumsum(orders)[:-1]
-    for k, own, confirmed, seed in zip(orders, np.split(nodes, bounds),
-                                       np.split(accepted, bounds), seeds):
-        for i in np.flatnonzero(~confirmed):
-            lo = own[i - 1] if i > 0 else 0.0
-            own[i] = _locate_root(k, i + 1, seed[i], lo, 4.0 * k + 2.0)
-    # weights 1 / (x L_k'(x)^2) = x / ((k+1) L_{k+1}(x))^2 at the zeros
-    _, cur, shift, _ = _recurrence_scaled(max(orders) + 1, nodes, degree + 1)
-    mant, exp = np.frexp(cur)
-    weights = np.ldexp(nodes / ((degree + 1.0) ** 2 * mant * mant), -2 * (exp + shift))
+    seeds = _seeds(orders)
+    nodes = _polish(degree, seeds)
+    # weights 1 / (x L_k'(x)^2) = x / (k (L_k(x) - L_{k-1}(x)))^2 at the
+    # zeros: a node error reaches the weight about 1:1 through L_k'
+    prev, cur, shift, _ = _recurrence_scaled(max(orders), nodes, degree)
+    mant, exp = np.frexp(degree * (cur - prev))
+    weights = np.ldexp(nodes / (mant * mant), -2 * (exp + shift))
     # below the smallest normal double the tail contribution is noise
     weights[weights < _MIN_NORMAL] = 0.0
+    bounds = np.cumsum(orders)[:-1]
     rules = []
-    for k, own_nodes, own_weights in zip(orders, np.split(nodes, bounds),
-                                         np.split(weights, bounds)):
+    for k, own_seeds, own_nodes, own_weights in zip(
+            orders, *(np.split(a, bounds) for a in (seeds, nodes, weights))):
+        # L_k has exactly k zeros: k converged nodes spaced like their
+        # seeds are all of them, none found twice
+        spacing = np.diff(own_nodes) / np.diff(own_seeds)
+        if not np.all((spacing >= 0.5) & (spacing <= 2.0)):
+            raise ConvergenceError(f"rule of order {k}: zeros not spaced like their seeds")
         problem = _invariant_problem(k, own_nodes, own_weights)
         if problem is not None:
             raise ConvergenceError(f"rule of order {k} failed validation: {problem}")

@@ -4,13 +4,16 @@ The explicit series for L_k and its derivative are evaluated in Fraction
 arithmetic, so they are exact for rational arguments and immune to the
 cancellation that limits the float recurrence.  The stepwise recurrence and
 the full-grid sum are the straightforward forms of faster package code,
-which must reproduce them bit for bit.
+which must reproduce them bit for bit.  The Euler-identity residual checks
+a kernel's declared degree of homogeneity by finite differences.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from avgkernel.kernels import KernelSpec, eval_kernel
 
 
 def laguerre_series(k, x):
@@ -73,3 +76,20 @@ def integrate_2d_full_grid(rule, f):
     vals = _on_full_grid(f, rule.nodes[:, None], rule.nodes[None, :])
     return float(rule.weights @ (vals @ rule.weights))
 
+
+def euler_identity_residual(spec: KernelSpec, x: float, y: float, h: float) -> float:
+    """x db/dx + y db/dy - q b, centrally differenced and scaled by b.
+
+    The caller keeps (x, y) away from non-smooth loci (the SD diagonal);
+    smooth homogeneous kernels give O(h^2).
+    """
+    if spec.degree_q is None:
+        raise ValueError("kernel has no degree set")
+    b = eval_kernel(spec, x, y)
+    dbdx = (eval_kernel(spec, x * (1 + h), y) - eval_kernel(spec, x * (1 - h), y)) / (
+        2 * h * x
+    )
+    dbdy = (eval_kernel(spec, x, y * (1 + h)) - eval_kernel(spec, x, y * (1 - h))) / (
+        2 * h * y
+    )
+    return (x * dbdx + y * dbdy - spec.degree_q * b) / b

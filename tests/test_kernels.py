@@ -9,11 +9,10 @@ from avgkernel.kernels import (
     NonHomogeneousError,
     builtin_kernel,
     eval_kernel,
-    euler_identity_residual,
-    format_kernel,
     homogeneity_degree,
     parse_kernel,
 )
+from support import euler_identity_residual
 
 BUILTIN_DEGREES = {"SC": 1.0, "SD": 4.0 / 3.0, "FM": 1.0 / 6.0, "CR": 0.0}
 
@@ -200,27 +199,6 @@ def test_asymmetric_kernel_carries_warning():
     assert "asymmetric" in spec.symmetry_warning
     sym = parse_kernel("x*y")
     assert sym.symmetric and sym.symmetry_warning is None
-
-
-def test_format_round_trips_values():
-    pts = sample_pairs(20, seed=13)
-    for text in ("(x^(1/3)+y^(1/3))^3", "q=0; abs(x-y)/(x+y)", "x^2^3"):
-        spec = parse_kernel(text)
-        again = parse_kernel(format_kernel(spec))
-        for x, y in pts:
-            assert eval_kernel(again, float(x), float(y)) == pytest.approx(
-                eval_kernel(spec, float(x), float(y)), rel=1e-15, abs=1e-300
-            )
-
-
-def test_format_builtin_is_parseable():
-    for kid in BUILTIN_DEGREES:
-        ref = builtin_kernel(kid)
-        again = parse_kernel(format_kernel(ref))
-        for x, y in sample_pairs(10, seed=2):
-            assert eval_kernel(again, float(x), float(y)) == pytest.approx(
-                eval_kernel(ref, float(x), float(y)), rel=1e-13
-            )
 
 
 def test_eval_rejects_non_positive_arguments():

@@ -1,12 +1,16 @@
 import hashlib
+import json
 import math
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from avgkernel import rules
 from avgkernel.rules import (
+    ConvergenceError,
     QuadratureRule,
     compute_rule,
     compute_rules,
@@ -15,12 +19,12 @@ from avgkernel.rules import (
     load_or_compute_rule,
 )
 
-# sha256 of the cache files that the one-order-at-a-time builder, which
-# compute_rules replaced, wrote for these orders
+# sha256 of the cache files that compute_rules wrote for these orders when
+# its weights were first taken from L_k' (cache format version 3)
 FROZEN_FILE_SHA256 = {
-    10: "2b9756e4418c338a77e8013fea5b7d6b5e9e531ce1d6a493a8218f6ddfb38963",
-    120: "21066279658b0e83ccc825bac870abc3f4a410d88875e8b0dd8404ce7021a5cb",
-    361: "2a0208a4187449c84d82887e5dc60dceaa8207b1cdb99de4f9622854d089cec5",
+    10: "d86e162ad76d19a0c27429d63e02502cacb5505f16afae19cc355a6932052aeb",
+    120: "38e7478c2097adef044276ffc0e22ba70fbbbe6f39d9b6e1aaa3ce837bb7c2d8",
+    361: "fcbb9f9dca1aacbe3b7b06ffe1d9771c3ca5dde68b1b3fa4ca61020048079a67",
 }
 
 # ten-point reference values, nodes and leading weights truncated to four
@@ -133,34 +137,52 @@ def test_matches_scipy_at_high_order(cache_dir):
         assert np.max(np.abs(rule.weights[both] / w_ref[both] - 1.0)) <= 1e-9
 
 
-def test_scalar_fallback_builds_the_same_rule(monkeypatch):
-    normal = {k: compute_rule(k) for k in (10, 120)}
-    # the vectorized pass accepts nothing: every node takes _locate_root
-    monkeypatch.setattr(rules, "_polish",
-                        lambda degree, z: (z.copy(), np.zeros(len(z), dtype=bool)))
-    calls = []
-    locate = rules._locate_root
-
-    def counted(*args):
-        calls.append(args)
-        return locate(*args)
-
-    monkeypatch.setattr(rules, "_locate_root", counted)
-    for k, rule in normal.items():
-        calls.clear()
-        forced = compute_rule(k)
-        assert len(calls) == k
-        assert rules._invariant_problem(k, forced.nodes, forced.weights) is None
-        assert np.max(np.abs(forced.nodes / rule.nodes - 1.0)) <= 1e-12
-    # one batch of both orders takes the same scalar path for every node
-    calls.clear()
-    batch = rules.compute_rules(normal)
-    assert len(calls) == 130
-    for rule, forced in zip(normal.values(), batch):
-        assert np.max(np.abs(forced.nodes / rule.nodes - 1.0)) <= 1e-12
+def test_batch_matches_scipy():
     roots_laguerre = pytest.importorskip("scipy.special").roots_laguerre
-    for forced in batch:
-        assert np.max(np.abs(forced.nodes / roots_laguerre(forced.order)[0] - 1.0)) <= 2e-12
+    for rule in compute_rules([10, 120]):
+        assert np.max(np.abs(rule.nodes / roots_laguerre(rule.order)[0] - 1.0)) <= 2e-12
+
+
+def test_rules_match_40_digit_references():
+    # tests/gen_rule_refs.py writes these from an mpmath build at 40 digits
+    refs = json.loads((Path(__file__).parent / "rule_refs.json").read_text())
+    bounds = {10: (4e-15, 1e-14), 100: (1e-13, 1e-12), 361: (2e-12, 5e-12)}
+    for rule in compute_rules(bounds):
+        ref = refs[str(rule.order)]
+        nodes = np.array([float(v) for v in ref["nodes"]])
+        weights = np.array([float(v) for v in ref["weights"]])
+        node_bound, weight_bound = bounds[rule.order]
+        assert np.max(np.abs(rule.nodes / nodes - 1.0)) <= node_bound, rule.order
+        # the weights below the smallest normal double, and only those, are flushed
+        normal = weights >= sys.float_info.min
+        assert np.array_equal(rule.weights == 0.0, ~normal), rule.order
+        assert np.max(np.abs(rule.weights[normal] / weights[normal] - 1.0)) <= weight_bound, rule.order
+
+
+def test_every_node_converges_up_to_the_order_limit():
+    # a node that does not converge, or a zero found twice, raises
+    orders = [*range(1, 401), *range(401, 1001, 37), 1500, 1999, 2000]
+    for rule in compute_rules(orders):
+        assert abs(float(rule.weights.sum()) - 1.0) <= 1e-12, rule.order
+
+
+def test_unconverged_or_doubled_zeros_raise(monkeypatch):
+    seeds = rules._seeds
+
+    def doubled(orders):
+        z = seeds(orders)
+        # of orders [5, 12], order 12's second seed next to its first: both
+        # reach its first zero
+        z[6] = z[5] * 1.001
+        return z
+
+    monkeypatch.setattr(rules, "_seeds", doubled)
+    with pytest.raises(ConvergenceError, match="order 12"):
+        compute_rules([5, 12])
+    monkeypatch.undo()
+    monkeypatch.setattr(rules, "_NEWTON_PASSES", 1)
+    with pytest.raises(ConvergenceError, match=r"order\(s\) 30 "):
+        compute_rule(30)
 
 
 def _same_rule(a, b):
@@ -182,7 +204,7 @@ def test_batches_stay_within_the_node_bound(monkeypatch):
     calls = []
     recurrence = rules._recurrence_scaled
 
-    def counted(k, x, degree=None):
+    def counted(k, x, degree):
         calls.append((k, np.size(x)))
         return recurrence(k, x, degree)
 
@@ -190,10 +212,9 @@ def test_batches_stay_within_the_node_bound(monkeypatch):
     built = compute_rules([3, 30, 9, 50, 12])
     assert [rule.order for rule in built] == [3, 30, 9, 50, 12]
     # the groups are {3, 30}, {9}, {50} and {12}: each weight pass runs
-    # to one order above the group's largest over all its nodes
-    assert {(31, 33), (10, 9), (51, 50), (13, 12)} <= set(calls)
-    # the sign-change test evaluates nodes on both sides: up to twice the bound
-    assert all(size <= 2 * 40 for k, size in calls if k < 50)
+    # to the group's largest order over all its nodes
+    assert {(30, 33), (9, 9), (50, 50), (12, 12)} <= set(calls)
+    assert all(size <= 40 for k, size in calls if k < 50)
     monkeypatch.undo()
     for rule in built:
         assert _same_rule(rule, compute_rule(rule.order)), rule.order
@@ -252,7 +273,7 @@ def test_rules_are_read_only(tmp_path):
 def test_cache_file_layout(tmp_path):
     load_or_compute_rule(3, tmp_path)
     lines = (tmp_path / "glq_3.csv").read_text().splitlines()
-    assert lines[0] == "# gauss-laguerre order=3 flushed=0 version=2"
+    assert lines[0] == "# gauss-laguerre order=3 flushed=0 version=3"
     assert len(lines) == 5
     assert lines[-1].startswith("# sha256=")
     for row in lines[1:4]:
@@ -264,8 +285,6 @@ def test_version_1_cache_file_is_rebuilt(tmp_path, monkeypatch):
     load_or_compute_rule(5, tmp_path)
     path = tmp_path / "glq_5.csv"
     current = path.read_text()
-    body = current[: current.rfind("# sha256=")].replace("version=2", "version=1")
-    path.write_text(f"{body}# sha256={hashlib.sha256(body.encode('ascii')).hexdigest()}\n")
 
     builds = []
     compute = rules.compute_rule
@@ -275,9 +294,14 @@ def test_version_1_cache_file_is_rebuilt(tmp_path, monkeypatch):
         return compute(k)
 
     monkeypatch.setattr(rules, "compute_rule", counted)
-    load_or_compute_rule(5, tmp_path)
-    assert builds == [5]
-    assert path.read_text() == current
+    # versions 1 and 2 hold the rules of older builders, off in the last digits
+    for old in (1, 2):
+        body = current[: current.rfind("# sha256=")].replace("version=3", f"version={old}")
+        path.write_text(f"{body}# sha256={hashlib.sha256(body.encode('ascii')).hexdigest()}\n")
+        builds.clear()
+        load_or_compute_rule(5, tmp_path)
+        assert builds == [5]
+        assert path.read_text() == current
 
 
 def test_cache_hit_skips_recompute(tmp_path, monkeypatch):
