@@ -357,3 +357,53 @@ def test_orders_above_the_limit_are_rejected(argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"must be <= {cli.MAX_ORDER}" in captured.err
+
+
+_IMPORT_IN_CHILD = """\
+import json, os, sys
+env_calls = []
+sys.addaudithook(lambda event, args: event in ("os.putenv", "os.unsetenv")
+                 and args[0] == b"OPENBLAS_NUM_THREADS" and env_calls.append(event))
+{preamble}
+import avgkernel
+print(json.dumps({{"threads": len(os.listdir("/proc/self/task")),
+                  "variable": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "env_calls": env_calls}}))
+"""
+
+
+def _import_in_child(preamble="", **variables):
+    """Thread count, OPENBLAS_NUM_THREADS and the writes to it after
+    `import avgkernel` in a fresh interpreter with these variables."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(variables)
+    cp = subprocess.run([sys.executable, "-c", _IMPORT_IN_CHILD.format(preamble=preamble)],
+                        capture_output=True, text=True, env=env, check=True)
+    return json.loads(cp.stdout)
+
+
+_needs_task_list = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                      reason="no /proc/self/task to count threads")
+
+
+@_needs_task_list
+def test_import_runs_on_one_blas_thread():
+    # OpenBLAS starts a busy-waiting helper per extra CPU unless told otherwise
+    seen = _import_in_child()
+    assert seen["threads"] == 1
+    assert seen["variable"] is None
+
+
+@_needs_task_list
+def test_import_keeps_the_users_blas_thread_count():
+    seen = _import_in_child(OPENBLAS_NUM_THREADS="2")
+    assert seen["variable"] == "2"
+    assert seen["env_calls"] == []
+
+
+@_needs_task_list
+def test_import_after_numpy_leaves_the_environment_alone():
+    seen = _import_in_child("import numpy")
+    assert seen["variable"] is None
+    assert seen["env_calls"] == []

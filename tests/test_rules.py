@@ -356,6 +356,20 @@ def test_malformed_rows_behind_a_valid_checksum_are_rebuilt(tmp_path):
         assert path.read_text() == text
 
 
+def test_weights_off_by_1e_10_behind_a_valid_checksum_are_rebuilt(tmp_path):
+    good = load_or_compute_rule(60, tmp_path)
+    path = tmp_path / "glq_60.csv"
+    text = path.read_text()
+    header, first, *rows = text[: text.rfind("# sha256=")].splitlines()
+    node, weight = first.split(",")
+    body = "\n".join([header, f"{node},{format_float(float(weight) + 1e-10)}", *rows]) + "\n"
+    digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+    path.write_text(f"{body}# sha256={digest}\n")
+    rule = load_or_compute_rule(60, tmp_path)
+    assert _same_rule(rule, good)
+    assert path.read_text() == text
+
+
 def test_cache_disabled_writes_nothing(tmp_path):
     rule = load_or_compute_rule(4, None)
     assert rule.order == 4
