@@ -36,9 +36,9 @@ from .extrapolate import (
     DegenerateFitError,
     DivergentTailError,
     RemainderEstimate,
-    default_window,
     error_sequence,
     fit_slope,
+    fit_window,
     full_report,
     remainder_estimate,
 )
@@ -89,10 +89,10 @@ __all__ = [
     "compute_rule",
     "convergence_series",
     "default_cache_dir",
-    "default_window",
     "error_sequence",
     "eval_kernel",
     "fit_slope",
+    "fit_window",
     "format_float",
     "full_report",
     "homogeneity_degree",

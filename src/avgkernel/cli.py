@@ -14,10 +14,9 @@ import sys
 from fractions import Fraction
 
 from .average import average_kernel, population_average_oracle, pre_exponential_factor
-from .extrapolate import default_window, error_sequence
-from .kernels import builtin_kernel, eval_kernel, parse_kernel
+from .extrapolate import FIT_ORDERS, error_sequence, fit_window
+from .kernels import builtin_kernel, parse_kernel
 from .rules import default_cache_dir, format_float, load_or_compute_rule
-from .tensor_quad import convergence_series
 
 _BUILTIN_IDS = ("FM", "CR", "SC", "SD")
 # The oracle evaluates the kernel at x and y scaled by u, so for a kernel of
@@ -27,8 +26,6 @@ _BUILTIN_IDS = ("FM", "CR", "SC", "SD")
 _CHECK_U = (0.5, 1.0, 2.0)
 _ORACLE_RTOL = 1e-5
 _CHECK_COLUMNS = ("u", "beta_bar", "oracle", "delta", "tol")
-# The fewest orders a remainder fit takes (extrapolate.full_report).
-_FIT_ORDERS = 20
 # The largest --points/--max-points accepted.  At k = 2000 each k x k
 # temporary of the 2D sum is 32 MB.
 MAX_ORDER = 2000
@@ -74,9 +71,11 @@ def _max_points(args, least: int, suffix: str = "") -> int:
     return args.max_points
 
 
-def _parse_window(text: str | None, k_max: int):
+def _fit_window(args, k_max: int) -> tuple[int, int]:
+    """--fit-window A:B, or the default window when it is not given."""
+    text = args.fit_window
     if not text:
-        return None
+        return fit_window(k_max)
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"fit window must be A:B, got {text!r}")
@@ -84,13 +83,14 @@ def _parse_window(text: str | None, k_max: int):
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"fit window must be two integers A:B, got {text!r}") from None
-    if not (1 <= a < b <= k_max - 1):
-        raise ValueError(f"fit window {a}:{b} not inside 1:{k_max - 1}")
-    return (a, b)
+    return fit_window(k_max, (a, b))
 
 
-def _emit(line: str = "") -> None:
-    sys.stdout.write(line + "\n")
+def _emit(*cells) -> None:
+    """Write one line of standard output: the cells joined by commas, a
+    float by format_float, None as an empty cell and anything else as text."""
+    sys.stdout.write(",".join("" if c is None else format_float(c) if isinstance(c, float)
+                              else str(c) for c in cells) + "\n")
 
 
 def _q_fraction(q: float) -> str:
@@ -109,7 +109,10 @@ def _beta_display(p: float, q: float) -> str:
 
 
 def _report_fields(report):
-    """(status, C, R, II text) of a report on the scale of Q."""
+    """(status, C, R, II text) of a report on the scale of Q; status short,
+    and the rest None, for a series too short to take one."""
+    if report is None:
+        return "short", None, None, None
     q = report.final_value
     if report.exact:
         return "exact", None, 0.0, f"{q:.4f} ± 0.0000"
@@ -131,28 +134,21 @@ def cmd_rule(args, cache_dir) -> int:
         }))
         return 0
     for i, (x, w) in enumerate(zip(rule.nodes, rule.weights), start=1):
-        _emit(f"{i},{format_float(x)},{format_float(w)}")
+        _emit(i, x, w)
     return 0
 
 
 def cmd_converge(args, cache_dir) -> int:
     k_max = _max_points(args, 2)
     spec = _kernel(args)
-    window = _parse_window(args.fit_window, k_max)
-    if window is not None and k_max < _FIT_ORDERS:
-        raise ValueError(f"--fit-window needs --max-points >= {_FIT_ORDERS}"
+    window = _fit_window(args, k_max)
+    if args.fit_window and k_max < FIT_ORDERS:
+        raise ValueError(f"--fit-window needs --max-points >= {FIT_ORDERS}"
                          " (a remainder fit takes at least that many orders)")
-    if k_max >= _FIT_ORDERS:
-        result = pre_exponential_factor(spec, k_max, cache_dir, window)
-        series, report = result.series, result.report
-    else:  # too short for a remainder fit
-        series = convergence_series(lambda x, y: eval_kernel(spec, x, y),
-                                    k_max, cache_dir, spec.label)
-        report = None
+    result = pre_exponential_factor(spec, k_max, cache_dir, window)
+    series, report = result.series, result.report
     eps = [e for _, e in error_sequence(series)]
-    if report is not None:
-        status, slope, remainder, ii = _report_fields(report)
-        a, b = window or default_window(k_max)
+    status, slope, remainder, ii = _report_fields(report)
 
     if args.format == "json":
         payload = {
@@ -161,24 +157,23 @@ def cmd_converge(args, cache_dir) -> int:
             "orders": series.orders,
             "values": series.values,
             "errors": eps,
-            "status": "short",
+            "status": status,
         }
         if report is not None:
-            payload.update({"status": status, "C": slope, "R": remainder,
-                            "Q": report.final_value, "fit_window": [a, b], "II": ii})
+            payload.update({"C": slope, "R": remainder, "Q": report.final_value,
+                            "fit_window": list(window), "II": ii})
         _emit(json.dumps(payload))
         return 0
 
     for k, value in zip(series.orders, series.values):
-        e = format_float(eps[k - 1]) if k < k_max else ""
-        _emit(f"{k},{format_float(value)},{e}")
-    if report is None:
-        _emit("# series too short for a remainder fit (need >= 20 orders)")
+        _emit(k, value, eps[k - 1] if k < k_max else None)
+    if status == "short":
+        _emit(f"# series too short for a remainder fit (need >= {FIT_ORDERS} orders)")
         return 0
     if status == "exact":
         _emit("# converged exactly, R = 0")
     else:
-        _emit(f"# C = {format_float(slope)} (fit window {a}:{b})")
+        _emit(f"# C = {format_float(slope)} (fit window {window[0]}:{window[1]})")
         _emit("# R = no estimate (C >= -1)" if remainder is None
               else f"# R = {format_float(remainder)}")
     _emit(f"# II = {ii}")
@@ -186,9 +181,9 @@ def cmd_converge(args, cache_dir) -> int:
 
 
 def cmd_report(args, cache_dir) -> int:
-    k_max = _max_points(args, _FIT_ORDERS, " for report")
+    k_max = _max_points(args, FIT_ORDERS, " for report")
     spec = _kernel(args)
-    window = _parse_window(args.fit_window, k_max)
+    window = _fit_window(args, k_max)
     result = pre_exponential_factor(spec, k_max, cache_dir, window)
     report = result.report
     status, slope, remainder, ii = _report_fields(report)
@@ -207,21 +202,19 @@ def cmd_report(args, cache_dir) -> int:
             "q": result.q,
             "beta_bar": beta,
             "status": status,
-            "fit_window": list(window or default_window(k_max)),
+            "fit_window": list(window),
             "II": ii,
         }))
         return 0
 
     _emit("# columns: kernel,Q,eps_n,C,R,p,q,beta_bar")
-    numbers = (report.final_value, eps, slope, remainder, result.p, result.q)
-    _emit(",".join([spec.label, *("" if v is None else format_float(v) for v in numbers),
-                    beta]))
+    _emit(spec.label, report.final_value, eps, slope, remainder, result.p, result.q, beta)
     _emit(f"# II = {ii}")
     return 0
 
 
 def cmd_table3(args, cache_dir) -> int:
-    k_max = _max_points(args, _FIT_ORDERS, " for table3")
+    k_max = _max_points(args, FIT_ORDERS, " for table3")
     rows = []
     if args.format == "csv":
         _emit("# columns: type,p,q,beta_bar")
@@ -229,7 +222,7 @@ def cmd_table3(args, cache_dir) -> int:
         result = pre_exponential_factor(builtin_kernel(kernel_id), k_max, cache_dir)
         beta = _beta_display(result.p, result.q)
         if args.format == "csv":
-            _emit(f"{kernel_id},{format_float(result.p)},{format_float(result.q)},{beta}")
+            _emit(kernel_id, result.p, result.q, beta)
         rows.append({"type": kernel_id, "p": result.p, "q": result.q, "beta_bar": beta})
     if args.format == "json":
         _emit(json.dumps({"k_max": k_max, "rows": rows}))
@@ -237,7 +230,7 @@ def cmd_table3(args, cache_dir) -> int:
 
 
 def cmd_check(args, cache_dir) -> int:
-    k_max = _max_points(args, _FIT_ORDERS, " for check")
+    k_max = _max_points(args, FIT_ORDERS, " for check")
     spec = _kernel(args)
     result = pre_exponential_factor(spec, k_max, cache_dir)
     rem = result.remainder_value
@@ -257,7 +250,7 @@ def cmd_check(args, cache_dir) -> int:
     else:
         _emit("# columns: " + ",".join(_CHECK_COLUMNS))
         for u, *values in rows:
-            _emit(",".join([f"{u:g}", *map(format_float, values)]))
+            _emit(f"{u:g}", *values)
         _emit("# check passed" if passed else "# check FAILED")
     return 0 if passed else 1
 

@@ -16,6 +16,10 @@ import numpy as np
 from .tensor_quad import ConvergenceSeries
 
 
+# The fewest series orders a remainder fit takes.
+FIT_ORDERS = 20
+
+
 class DivergentTailError(ArithmeticError):
     """Slope C >= -1: the tail integral does not converge, no estimate."""
 
@@ -98,9 +102,15 @@ def remainder_estimate(eps_n: float, C: float, n: int) -> float:
     return -eps_n * ((n + 1.0) / n) ** C * (n + 1.0) / (C + 1.0)
 
 
-def default_window(k_max: int) -> tuple[int, int]:
-    """Last half of the available error orders."""
-    return (math.ceil(k_max / 2), k_max - 1)
+def fit_window(k_max: int, window=None) -> tuple[int, int]:
+    """The fit window of a series of orders 1..k_max: window, which must
+    lie inside 1:k_max-1, or by default the last half of the error orders."""
+    if window is None:
+        return (math.ceil(k_max / 2), k_max - 1)
+    a, b = window
+    if not (1 <= a < b <= k_max - 1):
+        raise ValueError(f"fit window {a}:{b} not inside 1:{k_max - 1}")
+    return (a, b)
 
 
 def full_report(series: ConvergenceSeries, window=None) -> ConvergenceReport:
@@ -114,14 +124,11 @@ def full_report(series: ConvergenceSeries, window=None) -> ConvergenceReport:
     1e-12 at order 361).  It decides whether a series is reported exact or
     estimated, so moving it could change the printed status.
     """
-    if len(series.values) < 20:
-        raise ValueError("series too short for a report (need >= 20 orders)")
+    if len(series.values) < FIT_ORDERS:
+        raise ValueError(f"series too short for a report (need >= {FIT_ORDERS} orders)")
     k_max = series.orders[-1]
-    if window is None:
-        window = default_window(k_max)
+    window = fit_window(k_max, window)
     a, b = window
-    if not (1 <= a < b <= k_max - 1):
-        raise ValueError(f"fit window {a}:{b} not inside 1:{k_max - 1}")
     floor = 1e-10 * max(abs(v) for v in series.values)
     errors = error_sequence(series)
     in_window = [e for n, e in errors if a <= n <= b]

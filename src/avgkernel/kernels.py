@@ -217,8 +217,10 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind != "num":
             self.fail(("a number",))
-        self.advance()
         v = float(value)
+        if not math.isfinite(v):
+            self.fail(("a finite number",))
+        self.advance()
         return -v if negate else v
 
 
@@ -268,24 +270,36 @@ def eval_kernel(spec: KernelSpec, x, y):
     return val
 
 
+_ALPHAS = (2.0, 0.5)
+
+
+def _sampled(spec: KernelSpec, x, y) -> np.ndarray:
+    """eval_kernel at every pair (x[i], y[i]) in one array call."""
+    return np.broadcast_to(np.asarray(eval_kernel(spec, x, y), dtype=float), x.shape)
+
+
 def homogeneity_degree(spec: KernelSpec) -> float:
     """Numerical estimate of q from beta(a x, a y) = a^q beta(x, y).
 
     Averages ln-ratio estimates over 32 sample pairs and a in {2, 1/2};
-    a spread beyond 1e-6 means no single degree fits.
+    a spread beyond 1e-6 means no single degree fits.  A kernel value that
+    is not finite and positive raises as the scalar path does, at the
+    first such pair in draw order.
     """
     rng = np.random.default_rng(20250831)
-    estimates = []
-    for _ in range(32):
-        x, y = 10.0 ** rng.uniform(-1.5, 1.5, 2)
-        base = eval_kernel(spec, float(x), float(y))
-        for alpha in (2.0, 0.5):
-            scaled = eval_kernel(spec, float(alpha * x), float(alpha * y))
-            if base <= 0.0 or scaled <= 0.0:
-                raise NonHomogeneousError(
-                    f"kernel not positive at sample (x = {x}, y = {y})"
-                )
-            estimates.append(math.log(scaled / base) / math.log(alpha))
+    x, y = np.ascontiguousarray(10.0 ** rng.uniform(-1.5, 1.5, (32, 2)).T)
+    base = _sampled(spec, x, y)
+    scaled = [_sampled(spec, alpha * x, alpha * y) for alpha in _ALPHAS]
+    good = np.logical_and.reduce([np.isfinite(v) & (v > 0.0) for v in (base, *scaled)])
+    if not good.all():
+        x, y = x[np.argmin(good)], y[np.argmin(good)]
+        at_xy = eval_kernel(spec, float(x), float(y))
+        for alpha in _ALPHAS:
+            if min(at_xy, eval_kernel(spec, float(alpha * x), float(alpha * y))) <= 0.0:
+                raise NonHomogeneousError(f"kernel not positive at sample (x = {x}, y = {y})")
+    # per sample, a = 2 then a = 1/2, as a loop over the samples takes them
+    estimates = [math.log(r) / math.log(alpha) for ratios in zip(*(v / base for v in scaled))
+                 for alpha, r in zip(_ALPHAS, ratios)]
     spread = max(estimates) - min(estimates)
     if spread > 1e-6:
         raise NonHomogeneousError(
@@ -298,19 +312,19 @@ def homogeneity_degree(spec: KernelSpec) -> float:
 
 def _verify_symmetry(spec: KernelSpec):
     rng = np.random.default_rng(27182818)
-    worst = 0.0
-    where = None
-    for _ in range(64):
-        x, y = 10.0 ** rng.uniform(-1.5, 1.5, 2)
-        a = eval_kernel(spec, float(x), float(y))
-        b = eval_kernel(spec, float(y), float(x))
-        scale = max(abs(a), abs(b), 1e-300)
-        rel = abs(a - b) / scale
-        if rel > worst:
-            worst = rel
-            where = (float(x), float(y))
-    if worst > 1e-10:
-        return f"asymmetric: relative difference {worst:.3e} at {where}"
+    x, y = np.ascontiguousarray(10.0 ** rng.uniform(-1.5, 1.5, (64, 2)).T)
+    a, b = _sampled(spec, x, y), _sampled(spec, y, x)
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.all():
+        # the scalar path raises KernelDomainError at the first such value
+        i = np.argmin(finite)
+        eval_kernel(spec, float(x[i]), float(y[i]))
+        eval_kernel(spec, float(y[i]), float(x[i]))
+    rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    i = np.argmax(rel)
+    if rel[i] > 1e-10:
+        where = (float(x[i]), float(y[i]))
+        return f"asymmetric: relative difference {rel[i]:.3e} at {where}"
     return None
 
 

@@ -271,11 +271,17 @@ def default_cache_dir() -> str:
     return str(base / "avgkernel")
 
 
-def cache_path(k: int, cache_dir: str | os.PathLike | None) -> Path | None:
+def _cache_path(k: int, cache_dir: str | os.PathLike | None) -> Path | None:
     """The cache file of order k, or None when cache_dir disables caching."""
     if cache_dir is None or str(cache_dir) == "":
         return None
     return Path(cache_dir) / f"glq_{k}.csv"
+
+
+def has_cache_file(k: int, cache_dir: str | os.PathLike | None) -> bool:
+    """Whether cache_dir holds a file for order k, valid or not."""
+    path = _cache_path(k, cache_dir)
+    return path is not None and path.is_file()
 
 
 def load_or_compute_rule(k: int, cache_dir: str | os.PathLike | None,
@@ -288,7 +294,7 @@ def load_or_compute_rule(k: int, cache_dir: str | os.PathLike | None,
     built, a rule of order k the caller has already constructed, stands in
     for compute_rule.
     """
-    path = cache_path(k, cache_dir)
+    path = _cache_path(k, cache_dir)
     if path is not None and path.is_file():
         try:
             return _parse_cache_text(path.read_text(encoding="ascii", errors="replace"), k)

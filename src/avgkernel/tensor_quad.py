@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import QuadratureRule, cache_path, compute_rules, load_or_compute_rule
+from .rules import QuadratureRule, compute_rules, has_cache_file, load_or_compute_rule
 
 
 class IntegrandError(ArithmeticError):
@@ -74,17 +74,12 @@ def _shared_rules(k_max: int, cache_dir):
     """
     # a corrupt cache file is left to load_or_compute_rule to rebuild
     uncached = [k for k in range(1, k_max + 1)
-                if (k, cache_dir) not in _LOADED and not _has_cache_file(k, cache_dir)]
+                if (k, cache_dir) not in _LOADED and not has_cache_file(k, cache_dir)]
     built = dict(zip(uncached, compute_rules(uncached)))
     for k in range(1, k_max + 1):
         if (k, cache_dir) not in _LOADED:
             _LOADED[k, cache_dir] = load_or_compute_rule(k, cache_dir, built.pop(k, None))
         yield _LOADED[k, cache_dir]
-
-
-def _has_cache_file(k: int, cache_dir) -> bool:
-    path = cache_path(k, cache_dir)
-    return path is not None and path.is_file()
 
 
 def convergence_series(f, k_max: int, cache_dir=None,

@@ -33,7 +33,8 @@ KERNELS = (
 # A series too short for a fit (status short), explicit fit windows, a
 # kernel integrated exactly (exact), one whose fitted slope allows no
 # remainder (divergent, and an oracle overflow: exit 3), a kernel with a
-# wrong declared degree (exit 1), and rejected arguments (exit 2).
+# wrong declared degree (exit 1), and rejected arguments (exit 2), among
+# them a degree that is not finite.
 EDGE_CASES = (
     ["converge", "--kernel", "SC", "--max-points", "10"],
     ["converge", "--kernel", "SC", "--max-points", ORDER, "--fit-window", "5:20"],
@@ -46,6 +47,8 @@ EDGE_CASES = (
     ["converge", "--kernel", "SC", "--max-points", ORDER, "--fit-window", "20:5"],
     ["converge", "--kernel", "SC", "--max-points", "10", "--fit-window", "2:5"],
     ["check", "--kernel", "x + y + 1", "--max-points", ORDER],
+    *([command, "--kernel", "q=1e400; x*y/(x+y)", "--max-points", ORDER]
+      for command in ("report", "check")),
 )
 
 

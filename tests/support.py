@@ -5,7 +5,10 @@ arithmetic, so they are exact for rational arguments and immune to the
 cancellation that limits the float recurrence.  The stepwise recurrence and
 the full-grid sum are the straightforward forms of faster package code,
 which must reproduce them bit for bit.  The Euler-identity residual checks
-a kernel's declared degree of homogeneity by finite differences.
+a kernel's declared degree of homogeneity by finite differences.  The
+sample loops are the one-pair-at-a-time forms of the kernel sampling that
+parse_kernel does in array calls, which must give the same degree, warning
+and exception.
 """
 
 import math
@@ -13,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from avgkernel.kernels import KernelSpec, eval_kernel
+from avgkernel.kernels import KernelSpec, NonHomogeneousError, eval_kernel
 
 
 def laguerre_series(k, x):
@@ -93,3 +96,47 @@ def euler_identity_residual(spec: KernelSpec, x: float, y: float, h: float) -> f
         2 * h * y
     )
     return (x * dbdx + y * dbdy - spec.degree_q * b) / b
+
+
+def homogeneity_degree_loop(spec: KernelSpec) -> float:
+    """avgkernel.kernels.homogeneity_degree with one scalar evaluation per
+    kernel value, sample pair by sample pair."""
+    rng = np.random.default_rng(20250831)
+    estimates = []
+    for _ in range(32):
+        x, y = 10.0 ** rng.uniform(-1.5, 1.5, 2)
+        base = eval_kernel(spec, float(x), float(y))
+        for alpha in (2.0, 0.5):
+            scaled = eval_kernel(spec, float(alpha * x), float(alpha * y))
+            if base <= 0.0 or scaled <= 0.0:
+                raise NonHomogeneousError(
+                    f"kernel not positive at sample (x = {x}, y = {y})"
+                )
+            estimates.append(math.log(scaled / base) / math.log(alpha))
+    spread = max(estimates) - min(estimates)
+    if spread > 1e-6:
+        raise NonHomogeneousError(
+            f"homogeneity estimates spread {spread:.3e} over "
+            f"{len(estimates)} samples (range {min(estimates):.6f}"
+            f" to {max(estimates):.6f})"
+        )
+    return float(np.mean(estimates))
+
+
+def symmetry_warning_loop(spec: KernelSpec) -> str | None:
+    """avgkernel.kernels._verify_symmetry with one scalar evaluation per
+    kernel value, sample pair by sample pair."""
+    rng = np.random.default_rng(27182818)
+    worst = 0.0
+    where = None
+    for _ in range(64):
+        x, y = 10.0 ** rng.uniform(-1.5, 1.5, 2)
+        a = eval_kernel(spec, float(x), float(y))
+        b = eval_kernel(spec, float(y), float(x))
+        rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
+        if rel > worst:
+            worst = rel
+            where = (float(x), float(y))
+    if worst > 1e-10:
+        return f"asymmetric: relative difference {worst:.3e} at {where}"
+    return None

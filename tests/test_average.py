@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgkernel.average import (
     AverageKernelResult,
@@ -65,8 +67,13 @@ def test_factor_respects_fit_window(cache_dir):
 
 
 def test_factor_validates_inputs(cache_dir):
+    # a series too short for a fit gets no report: p is Q_19 / 2, R unknown
+    short = pre_exponential_factor(builtin_kernel("SC"), 19, cache_dir)
+    assert short.report is None
+    assert short.p == short.series.values[18] / 2
+    assert short.remainder_value is None
     with pytest.raises(ValueError):
-        pre_exponential_factor(builtin_kernel("SC"), 19, cache_dir)
+        pre_exponential_factor(builtin_kernel("SC"), 1, cache_dir)
     spec = dataclasses.replace(builtin_kernel("SC"), degree_q=None)
     with pytest.raises(ValueError):
         pre_exponential_factor(spec, 25, cache_dir)
@@ -151,6 +158,17 @@ def test_oracle_linear_kernel_analytic():
     # beta = v + v1 has p = 1 and q = 1, so the average is exactly u
     spec = parse_kernel("x + y")
     assert population_average_oracle(spec, 3.0) == pytest.approx(3.0, rel=1e-6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(a=st.floats(-0.9, 2.0), b=st.floats(-0.9, 2.0))
+def test_oracle_matches_closed_form_family(a, b):
+    # the average of x^a y^b + x^b y^a is u^(a+b) Gamma(a+1) Gamma(b+1)
+    spec = parse_kernel(f"q={a + b!r}; x^({a!r})*y^({b!r}) + x^({b!r})*y^({a!r})")
+    for u in (0.5, 1.0, 2.0):
+        exact = u ** (a + b) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
+        got = population_average_oracle(spec, u, rtol=1e-10)
+        assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_oracle_resolution_error():

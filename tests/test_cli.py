@@ -306,6 +306,17 @@ def test_check_rejects_non_homogeneous():
     assert "homogeneity" in cp.stderr
 
 
+@pytest.mark.parametrize("command", ["report", "check"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_degree_exits_2(command, fmt, cache_dir, capsys):
+    argv = [command, "--kernel", "q=1e400; x*y/(x+y)", "--max-points", "30",
+            "--format", fmt, "--cache-dir", cache_dir]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a finite number" in captured.err
+
+
 def test_numeric_failure_exits_3(cache_dir):
     cp = run_cli("converge", "--kernel", "q=0; x/(x-y)", "--max-points", "5",
                  cache=cache_dir)

@@ -7,9 +7,9 @@ from avgkernel.extrapolate import (
     ConvergenceReport,
     DegenerateFitError,
     DivergentTailError,
-    default_window,
     error_sequence,
     fit_slope,
+    fit_window,
     full_report,
     remainder_estimate,
 )
@@ -90,10 +90,13 @@ def test_remainder_estimate_rejects_bad_inputs():
         remainder_estimate(1.0, -2.0, 0)
 
 
-def test_default_window_covers_upper_half():
-    assert default_window(361) == (181, 360)
-    assert default_window(40) == (20, 39)
-    assert default_window(21) == (11, 20)
+def test_fit_window_defaults_to_upper_half():
+    assert fit_window(361) == (181, 360)
+    assert fit_window(40) == (20, 39)
+    assert fit_window(21) == (11, 20)
+    assert fit_window(40, (5, 39)) == (5, 39)
+    with pytest.raises(ValueError, match="not inside 1:39"):
+        fit_window(40, (5, 40))
 
 
 def test_full_report_recovers_power_law():

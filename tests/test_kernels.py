@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from avgkernel import kernels
 from avgkernel.kernels import (
     KernelDomainError,
+    KernelSpec,
     KernelSyntaxError,
     NonHomogeneousError,
     builtin_kernel,
     eval_kernel,
+    _verify_symmetry,
     homogeneity_degree,
     parse_kernel,
 )
-from support import euler_identity_residual
+from support import euler_identity_residual, homogeneity_degree_loop, symmetry_warning_loop
 
 BUILTIN_DEGREES = {"SC": 1.0, "SD": 4.0 / 3.0, "FM": 1.0 / 6.0, "CR": 0.0}
 
@@ -167,6 +170,40 @@ def test_parse_error_reports_offset():
         parse_kernel("x $ y")
     assert info.value.offset == 2
     assert info.value.found == "'$'"
+
+
+def test_explicit_degree_must_be_finite():
+    for text, offset in (("q=1e400; x*y/(x+y)", 2), ("q=-1e400; x*y", 3)):
+        with pytest.raises(KernelSyntaxError) as info:
+            parse_kernel(text)
+        assert info.value.offset == offset
+        assert info.value.expected == ("a finite number",)
+
+
+# homogeneous, asymmetric, non-homogeneous, not positive, and not finite at
+# the samples, at their scaled pairs or at one orientation only
+SAMPLED_KERNELS = (
+    "x*y/(x+y)", "(x^(-1/3)+y^(-1/3))*(x^(2/3)+y^(2/3))", "2", "abs(x-2*y)",
+    "x^3/y^2", "x^2+y", "x - y", "(x+y-0.3)", "1/(x-x)", "(x+y-0.1)^0.5",
+    "(x-0.1)^0.5*(y-0.1)^0.5",
+)
+
+
+@pytest.mark.parametrize("text", SAMPLED_KERNELS)
+def test_sampling_matches_the_scalar_loops(text):
+    # parse_kernel samples the kernel itself, so build the spec unsampled
+    tree = kernels._Parser(kernels._tokenize(text)).parse_expr()
+    spec = KernelSpec(tree, 1.0, True, text)
+
+    def outcome(f):
+        try:
+            value = f(spec)
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc), str(exc)
+        return value.hex() if isinstance(value, float) else value
+
+    assert outcome(_verify_symmetry) == outcome(symmetry_warning_loop)
+    assert outcome(homogeneity_degree) == outcome(homogeneity_degree_loop)
 
 
 def test_parse_rejects_trailing_tokens():

@@ -1,0 +1,64 @@
+"""perfbench/tracer.py, loaded unedited, still wraps what the CLI calls.
+
+The tracer replaces module attributes by wrappers and counts the calls
+that reach them, so a refactor that renames or bypasses one of those
+attributes would silently change the benchmark's per-layer counts.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+from avgkernel import average, cli, laguerre, rules, tensor_quad
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# every attribute the tracer wraps
+WRAPPED = (
+    (cli, "main"), (cli, "parse_kernel"), (cli, "pre_exponential_factor"),
+    (cli, "population_average_oracle"), (average, "full_report"),
+    (average, "eval_kernel"), (tensor_quad, "load_or_compute_rule"),
+    (tensor_quad, "integrate_2d"), (rules, "compute_rule"),
+    (rules, "_recurrence_scaled"), (laguerre, "_recurrence_scaled"),
+)
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_main(argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(argv)
+    return rc, stdout.getvalue()
+
+
+def test_tracer_counts_table3_layers(tmp_path):
+    tracer_module = load_tracer()
+    argv = ["table3", "--max-points", "21", "--cache-dir"]
+    untraced = run_main([*argv, str(tmp_path / "untraced")])
+
+    originals = [getattr(module, attr) for module, attr in WRAPPED]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer)
+        assert all(getattr(module, attr) is not orig
+                   for (module, attr), orig in zip(WRAPPED, originals))
+        traced = run_main([*argv, str(tmp_path / "traced")])
+    finally:
+        tracer.uninstall()
+    assert all(getattr(module, attr) is orig
+               for (module, attr), orig in zip(WRAPPED, originals))
+
+    assert traced == untraced
+    assert traced[0] == 0
+    layers = tracer_module.layer_metrics(tracer)
+    assert layers["rules.cache_misses"] == 21
+    assert layers["tensor_quad.calls"] == 84
+    assert layers["average.p_calls"] == 4
+    assert layers["extrapolate.calls"] == 4
