@@ -137,8 +137,7 @@ def population_average_oracle(spec: KernelSpec, u: float, points: int = 4000,
             x, y, w = np.outer(us, t), np.outer(us, r), np.outer(wb, wt)
             keep = (x >= _TINY) & (w > 0)
             x, y, w = x[keep], y[keep], w[keep]
-            folded = (np.asarray(eval_kernel(spec, x, y), dtype=float)
-                      + np.asarray(eval_kernel(spec, y, x), dtype=float))
+            folded = eval_kernel(spec, x, y) + eval_kernel(spec, y, x)
             total += float(np.sum(w * folded))
         value = 0.5 * total
         if not math.isfinite(value):

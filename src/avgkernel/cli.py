@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from .average import average_kernel, population_average_oracle, pre_exponential_factor
 from .extrapolate import FIT_ORDERS, error_sequence, fit_window
-from .kernels import builtin_kernel, parse_kernel
+from .kernels import BUILTIN_IDS, builtin_kernel, parse_kernel
 from .rules import default_cache_dir, format_float, load_or_compute_rule
 
-_BUILTIN_IDS = ("FM", "CR", "SC", "SD")
 # The oracle evaluates the kernel at x and y scaled by u, so for a kernel of
 # the declared degree q its values at these u agree up to u^q.  They are
 # not one computation repeated: the u = 0.5 and u = 2 rows are what catch a
@@ -57,7 +56,7 @@ def _keep_freed_memory() -> None:
 def _kernel(args):
     """The --kernel spec; an asymmetric kernel gets a warning on stderr."""
     text = args.kernel
-    spec = builtin_kernel(text) if text.strip().upper() in _BUILTIN_IDS else parse_kernel(text)
+    spec = builtin_kernel(text) if text.strip().upper() in BUILTIN_IDS else parse_kernel(text)
     if spec.symmetry_warning is not None:
         print(f"avgkernel: warning: kernel {spec.label!r} {spec.symmetry_warning}",
               file=sys.stderr)
@@ -218,7 +217,7 @@ def cmd_table3(args, cache_dir) -> int:
     rows = []
     if args.format == "csv":
         _emit("# columns: type,p,q,beta_bar")
-    for kernel_id in _BUILTIN_IDS:
+    for kernel_id in BUILTIN_IDS:
         result = pre_exponential_factor(builtin_kernel(kernel_id), k_max, cache_dir)
         beta = _beta_display(result.p, result.q)
         if args.format == "csv":

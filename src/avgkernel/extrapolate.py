@@ -137,9 +137,6 @@ def full_report(series: ConvergenceSeries, window=None) -> ConvergenceReport:
     if zeros > len(in_window) / 2 or eps_anchor <= floor:
         return ConvergenceReport(k_max, series.values[-1], None, exact=True)
     slope = fit_slope([(n, e) for n, e in errors if e > floor], window)
-    if slope >= -1.0:
-        est = RemainderEstimate(n_anchor, eps_anchor, slope, None, (a, b))
-    else:
-        r = remainder_estimate(eps_anchor, slope, n_anchor)
-        est = RemainderEstimate(n_anchor, eps_anchor, slope, r, (a, b))
+    r = None if slope >= -1.0 else remainder_estimate(eps_anchor, slope, n_anchor)
+    est = RemainderEstimate(n_anchor, eps_anchor, slope, r, (a, b))
     return ConvergenceReport(k_max, series.values[-1], est, exact=False)

@@ -46,12 +46,11 @@ class KernelSpec:
     """A symmetric homogeneous collision kernel ready for quadrature.
 
     source is a builtin id (FM | CR | SC | SD) or a parsed expression tree;
-    symmetric reflects what sampling actually verified, not an assumption.
+    symmetry_warning is None unless sampling found the kernel asymmetric.
     """
 
     source: object
     degree_q: float | None
-    symmetric: bool
     label: str
     symmetry_warning: str | None = None
 
@@ -80,20 +79,23 @@ def _beta_cr(x, y):
 
 
 _BUILTINS = {
-    "SC": (_beta_sc, 1.0),
-    "SD": (_beta_sd, 4.0 / 3.0),
     "FM": (_beta_fm, 1.0 / 6.0),
     "CR": (_beta_cr, 0.0),
+    "SC": (_beta_sc, 1.0),
+    "SD": (_beta_sd, 4.0 / 3.0),
 }
+# the builtin ids, in the order table3 prints them
+BUILTIN_IDS = tuple(_BUILTINS)
+
 
 def builtin_kernel(kernel_id: str) -> KernelSpec:
     key = kernel_id.strip().upper()
     if key not in _BUILTINS:
         raise ValueError(
-            f"unknown kernel id {kernel_id!r}: expected one of FM, CR, SC, SD"
+            f"unknown kernel id {kernel_id!r}: expected one of {', '.join(BUILTIN_IDS)}"
         )
     _, q = _BUILTINS[key]
-    return KernelSpec(source=key, degree_q=q, symmetric=True, label=key)
+    return KernelSpec(source=key, degree_q=q, label=key)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +252,12 @@ def _eval_tree(node, x, y):
 
 
 def eval_kernel(spec: KernelSpec, x, y):
-    """beta(x, y) for scalars or numpy arrays (arrays may carry NaN through;
-    scalar domain failures raise KernelDomainError)."""
+    """beta(x, y) for scalars or numpy arrays.
+
+    Scalars give a float, and a domain failure raises KernelDomainError.
+    Arrays give a float64 array of the shape x and y broadcast to, even for
+    a kernel that ignores one or both; it may carry NaN through.
+    """
     scalar = np.isscalar(x) and np.isscalar(y)
     if scalar and (x <= 0 or y <= 0):
         raise ValueError(f"kernel arguments must be positive, got ({x}, {y})")
@@ -267,15 +273,10 @@ def eval_kernel(spec: KernelSpec, x, y):
                 f"kernel undefined at (x = {x}, y = {y}): value {v}", x, y
             )
         return v
-    return val
+    return np.broadcast_to(np.asarray(val, dtype=float), np.broadcast(x, y).shape)
 
 
 _ALPHAS = (2.0, 0.5)
-
-
-def _sampled(spec: KernelSpec, x, y) -> np.ndarray:
-    """eval_kernel at every pair (x[i], y[i]) in one array call."""
-    return np.broadcast_to(np.asarray(eval_kernel(spec, x, y), dtype=float), x.shape)
 
 
 def homogeneity_degree(spec: KernelSpec) -> float:
@@ -288,8 +289,8 @@ def homogeneity_degree(spec: KernelSpec) -> float:
     """
     rng = np.random.default_rng(20250831)
     x, y = np.ascontiguousarray(10.0 ** rng.uniform(-1.5, 1.5, (32, 2)).T)
-    base = _sampled(spec, x, y)
-    scaled = [_sampled(spec, alpha * x, alpha * y) for alpha in _ALPHAS]
+    base = eval_kernel(spec, x, y)
+    scaled = [eval_kernel(spec, alpha * x, alpha * y) for alpha in _ALPHAS]
     good = np.logical_and.reduce([np.isfinite(v) & (v > 0.0) for v in (base, *scaled)])
     if not good.all():
         x, y = x[np.argmin(good)], y[np.argmin(good)]
@@ -313,7 +314,7 @@ def homogeneity_degree(spec: KernelSpec) -> float:
 def _verify_symmetry(spec: KernelSpec):
     rng = np.random.default_rng(27182818)
     x, y = np.ascontiguousarray(10.0 ** rng.uniform(-1.5, 1.5, (64, 2)).T)
-    a, b = _sampled(spec, x, y), _sampled(spec, y, x)
+    a, b = eval_kernel(spec, x, y), eval_kernel(spec, y, x)
     finite = np.isfinite(a) & np.isfinite(b)
     if not finite.all():
         # the scalar path raises KernelDomainError at the first such value
@@ -353,12 +354,11 @@ def parse_kernel(text: str) -> KernelSpec:
     spec = KernelSpec(
         source=tree,
         degree_q=explicit_q,
-        symmetric=True,
         label=text.strip(),
     )
     warning = _verify_symmetry(spec)
     if warning is not None:
-        spec = replace(spec, symmetric=False, symmetry_warning=warning)
+        spec = replace(spec, symmetry_warning=warning)
     if explicit_q is None:
         spec = replace(spec, degree_q=homogeneity_degree(spec))
     return spec

@@ -44,7 +44,6 @@ def test_builtin_degrees_and_labels():
         spec = builtin_kernel(kid)
         assert spec.degree_q == q
         assert spec.label == kid
-        assert spec.symmetric
         assert spec.symmetry_warning is None
 
 
@@ -123,7 +122,7 @@ def test_parse_matches_builtin_transcriptions():
         parsed = parse_kernel(text)
         ref = builtin_kernel(kid)
         assert parsed.degree_q == pytest.approx(BUILTIN_DEGREES[kid], abs=1e-9)
-        assert parsed.symmetric
+        assert parsed.symmetry_warning is None
         for x, y in pts:
             a = eval_kernel(parsed, float(x), float(y))
             b = eval_kernel(ref, float(x), float(y))
@@ -193,7 +192,7 @@ SAMPLED_KERNELS = (
 def test_sampling_matches_the_scalar_loops(text):
     # parse_kernel samples the kernel itself, so build the spec unsampled
     tree = kernels._Parser(kernels._tokenize(text)).parse_expr()
-    spec = KernelSpec(tree, 1.0, True, text)
+    spec = KernelSpec(tree, 1.0, text)
 
     def outcome(f):
         try:
@@ -232,10 +231,10 @@ def test_explicit_degree_skips_estimation():
 
 def test_asymmetric_kernel_carries_warning():
     spec = parse_kernel("q=1; x")
-    assert not spec.symmetric
+    assert spec.symmetry_warning is not None
     assert "asymmetric" in spec.symmetry_warning
     sym = parse_kernel("x*y")
-    assert sym.symmetric and sym.symmetry_warning is None
+    assert sym.symmetry_warning is None
 
 
 def test_eval_rejects_non_positive_arguments():
@@ -261,3 +260,14 @@ def test_array_eval_passes_non_finite_through():
     vals = eval_kernel(spec, x, y)
     assert np.isinf(vals[0]) or np.isnan(vals[0])
     assert vals[1] == pytest.approx(2.0)
+
+
+def test_array_eval_has_the_broadcast_shape():
+    # a kernel that ignores y, or both arguments, still gives one value per pair
+    nodes = np.linspace(0.5, 4.0, 5)
+    x, y = nodes[:, None], nodes[None, :]
+    for text, want in (("q=0; 2", np.full((5, 5), 2.0)), ("q=1; x", np.repeat(x, 5, axis=1))):
+        vals = eval_kernel(parse_kernel(text), x, y)
+        assert vals.dtype == np.float64
+        assert vals.shape == (5, 5)
+        assert np.array_equal(vals, want)

@@ -38,10 +38,12 @@ def run_main(argv):
     return rc, stdout.getvalue()
 
 
-def test_tracer_counts_table3_layers(tmp_path):
+def run_traced(argv, tmp_path):
+    """Run argv untraced and traced, each on a fresh cache; check that the
+    tracer wraps and restores every attribute and leaves stdout and the
+    exit code as they were, and return the tracer."""
     tracer_module = load_tracer()
-    argv = ["table3", "--max-points", "21", "--cache-dir"]
-    untraced = run_main([*argv, str(tmp_path / "untraced")])
+    untraced = run_main([*argv, "--cache-dir", str(tmp_path / "untraced")])
 
     originals = [getattr(module, attr) for module, attr in WRAPPED]
     tracer = tracer_module.Tracer()
@@ -49,7 +51,7 @@ def test_tracer_counts_table3_layers(tmp_path):
         tracer_module.install(tracer)
         assert all(getattr(module, attr) is not orig
                    for (module, attr), orig in zip(WRAPPED, originals))
-        traced = run_main([*argv, str(tmp_path / "traced")])
+        traced = run_main([*argv, "--cache-dir", str(tmp_path / "traced")])
     finally:
         tracer.uninstall()
     assert all(getattr(module, attr) is orig
@@ -57,8 +59,26 @@ def test_tracer_counts_table3_layers(tmp_path):
 
     assert traced == untraced
     assert traced[0] == 0
+    return tracer_module, tracer
+
+
+def test_tracer_counts_table3_layers(tmp_path):
+    tracer_module, tracer = run_traced(["table3", "--max-points", "21"], tmp_path)
     layers = tracer_module.layer_metrics(tracer)
     assert layers["rules.cache_misses"] == 21
     assert layers["tensor_quad.calls"] == 84
     assert layers["average.p_calls"] == 4
     assert layers["extrapolate.calls"] == 4
+
+
+def test_tracer_counts_check_layers(tmp_path):
+    # check-expr's path: parse_kernel, one series and the oracle at three u
+    argv = ["check", "--kernel", "(x^(1/6)+y^(1/6))*(x^(1/3)+y^(1/3))", "--max-points", "21"]
+    tracer_module, tracer = run_traced(argv, tmp_path)
+    layers = tracer_module.layer_metrics(tracer)
+    assert layers["average.oracle_calls"] == 3
+    assert layers["average.p_calls"] == 1
+    assert layers["extrapolate.calls"] == 1
+    assert layers["tensor_quad.calls"] == 21
+    assert layers["rules.cache_misses"] == 21
+    assert len(tracer.named("kernels.parse_kernel")) == 1
