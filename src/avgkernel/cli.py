@@ -55,19 +55,21 @@ def _keep_freed_memory() -> None:
 
 def _kernel(args):
     """The --kernel spec; an asymmetric kernel gets a warning on stderr."""
-    text = args.kernel
-    spec = builtin_kernel(text) if text.strip().upper() in BUILTIN_IDS else parse_kernel(text)
+    spec = parse_kernel(args.kernel)
     if spec.symmetry_warning is not None:
         print(f"avgkernel: warning: kernel {spec.label!r} {spec.symmetry_warning}",
               file=sys.stderr)
     return spec
 
 
-def _max_points(args, least: int, suffix: str = "") -> int:
-    """--max-points, rejected (exit code 2) below the command's least order."""
-    if args.max_points < least:
-        raise ValueError(f"--max-points must be >= {least}{suffix}")
-    return args.max_points
+def _order(value: int, flag: str, least: int, suffix: str = "") -> int:
+    """The value of an order flag, rejected (exit code 2) below the
+    command's least order or above MAX_ORDER."""
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}{suffix}")
+    if value > MAX_ORDER:
+        raise ValueError(f"{flag} must be <= {MAX_ORDER}")
+    return value
 
 
 def _fit_window(args, k_max: int) -> tuple[int, int]:
@@ -122,9 +124,7 @@ def _report_fields(report):
 
 
 def cmd_rule(args, cache_dir) -> int:
-    if args.points < 1:
-        raise ValueError("--points must be >= 1")
-    rule = load_or_compute_rule(args.points, cache_dir)
+    rule = load_or_compute_rule(_order(args.points, "--points", 1), cache_dir)
     if args.format == "json":
         _emit(json.dumps({
             "order": rule.order,
@@ -138,7 +138,7 @@ def cmd_rule(args, cache_dir) -> int:
 
 
 def cmd_converge(args, cache_dir) -> int:
-    k_max = _max_points(args, 2)
+    k_max = _order(args.max_points, "--max-points", 2)
     spec = _kernel(args)
     window = _fit_window(args, k_max)
     if args.fit_window and k_max < FIT_ORDERS:
@@ -180,7 +180,7 @@ def cmd_converge(args, cache_dir) -> int:
 
 
 def cmd_report(args, cache_dir) -> int:
-    k_max = _max_points(args, FIT_ORDERS, " for report")
+    k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for report")
     spec = _kernel(args)
     window = _fit_window(args, k_max)
     result = pre_exponential_factor(spec, k_max, cache_dir, window)
@@ -213,7 +213,7 @@ def cmd_report(args, cache_dir) -> int:
 
 
 def cmd_table3(args, cache_dir) -> int:
-    k_max = _max_points(args, FIT_ORDERS, " for table3")
+    k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for table3")
     rows = []
     if args.format == "csv":
         _emit("# columns: type,p,q,beta_bar")
@@ -229,7 +229,7 @@ def cmd_table3(args, cache_dir) -> int:
 
 
 def cmd_check(args, cache_dir) -> int:
-    k_max = _max_points(args, FIT_ORDERS, " for check")
+    k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for check")
     spec = _kernel(args)
     result = pre_exponential_factor(spec, k_max, cache_dir)
     rem = result.remainder_value
@@ -307,11 +307,6 @@ def main(argv=None) -> int:
         sys.stdout.reconfigure(encoding="utf-8", newline="\n")
     parser = build_parser()
     args = parser.parse_args(argv)
-    for dest in ("points", "max_points"):
-        if getattr(args, dest, 0) > MAX_ORDER:
-            flag = "--" + dest.replace("_", "-")
-            print(f"avgkernel: {flag} must be <= {MAX_ORDER}", file=sys.stderr)
-            return 2
     cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
     try:
         return args.func(args, cache_dir)

@@ -36,11 +36,9 @@ class RemainderEstimate:
     caller must report that state, never substitute 0.
     """
 
-    anchor_order: int
     anchor_error: float
     slope: float
     remainder: float | None
-    fit_window: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,6 @@ class ConvergenceReport:
     None.
     """
 
-    final_order: int
     final_value: float
     estimate: RemainderEstimate | None
     exact: bool
@@ -135,8 +132,8 @@ def full_report(series: ConvergenceSeries, window=None) -> ConvergenceReport:
     zeros = sum(1 for e in in_window if e <= floor)
     n_anchor, eps_anchor = errors[-1]
     if zeros > len(in_window) / 2 or eps_anchor <= floor:
-        return ConvergenceReport(k_max, series.values[-1], None, exact=True)
+        return ConvergenceReport(series.values[-1], None, exact=True)
     slope = fit_slope([(n, e) for n, e in errors if e > floor], window)
     r = None if slope >= -1.0 else remainder_estimate(eps_anchor, slope, n_anchor)
-    est = RemainderEstimate(n_anchor, eps_anchor, slope, r, (a, b))
-    return ConvergenceReport(k_max, series.values[-1], est, exact=False)
+    est = RemainderEstimate(eps_anchor, slope, r)
+    return ConvergenceReport(series.values[-1], est, exact=False)

@@ -330,12 +330,16 @@ def _verify_symmetry(spec: KernelSpec):
 
 
 def parse_kernel(text: str) -> KernelSpec:
-    """Parse an expression kernel; see the grammar in the package docs.
+    """The builtin kernel when text is a builtin id, in any case and
+    spacing; otherwise parse an expression kernel (see the grammar in the
+    package docs).
 
     An optional "q=<number>;" prefix fixes the homogeneity degree, which is
     otherwise estimated numerically (and must exist).  Symmetry is checked
     by sampling; an asymmetric kernel parses but carries a warning.
     """
+    if text.strip().upper() in _BUILTINS:
+        return builtin_kernel(text)
     tokens = _tokenize(text)
     parser = _Parser(tokens)
     explicit_q = None

@@ -26,26 +26,22 @@ def _recurrence_scaled(k: int, x, degree):
     """Run the recurrence with joint power-of-two rescaling, elementwise.
 
     x is an array of floats and degree an integer array of the same length,
-    each entry in 1..k.  Returns (prev, cur, shift, step), arrays of x's
-    length, where L_{d-1}(x) = prev * 2**shift, L_d(x) = cur * 2**shift
-    for the element's degree d, and step * 2**shift is the magnitude of the
-    larger term entering its final recurrence step.  step gives root
-    finders a natural scale for judging residuals |L_d(x)| near a zero,
-    where the value itself carries total cancellation.  k - 1 steps run;
-    an element leaves the loop once it reaches its degree.
+    each entry in 1..k.  Returns (prev, cur, shift), arrays of x's length,
+    where L_{d-1}(x) = prev * 2**shift and L_d(x) = cur * 2**shift for the
+    element's degree d.  k - 1 steps run; an element leaves the loop once
+    it reaches its degree.
     """
     # largest degree first, so the elements still running are a prefix:
-    # live[n] of them take step n; out collects (prev, cur, shift, step) of
+    # live[n] of them take step n; out collects (prev, cur, shift) of
     # the finished ones in this order
     descending = -np.asarray(degree)
     order = np.argsort(descending, kind="stable")
     x = np.asarray(x, dtype=float)[order]
     live = np.searchsorted(descending[order], -np.arange(k)).tolist()
-    out = (np.empty_like(x), np.empty_like(x), np.empty(len(x), np.int64), np.empty_like(x))
+    out = (np.empty_like(x), np.empty_like(x), np.empty(len(x), np.int64))
     prev = np.ones(len(x))
     cur = 1.0 - x
     shift = np.zeros(len(x), dtype=np.int64)
-    step = np.maximum(abs(cur), 1.0)
     # Rescaling by a power of two is exact, so how often it happens does
     # not change the result.  One step multiplies max(|prev|, |cur|) by at
     # most 3 + |x| and divides it by at most 3k, so checking the band every
@@ -57,8 +53,7 @@ def _recurrence_scaled(k: int, x, degree):
         if live[n] < len(x):
             # the elements of degree n are finished
             a = live[n]
-            last = step[a:] if n == 1 else np.maximum(abs(t1[a:]), abs(t2[a:])) / n
-            for o, v in zip(out, (prev[a:], cur[a:], shift[a:], last)):
+            for o, v in zip(out, (prev[a:], cur[a:], shift[a:])):
                 o[a:len(x)] = v
             x, prev, cur, shift = x[:a], prev[:a], cur[:a], shift[:a]
         if n % every == 0:
@@ -69,13 +64,9 @@ def _recurrence_scaled(k: int, x, degree):
                 prev = np.ldexp(prev, -e)
                 cur = np.ldexp(cur, -e)
                 shift = shift + e
-        t1 = (2 * n + 1 - x) * cur
-        t2 = n * prev
-        prev, cur = cur, (t1 - t2) / (n + 1)
-    if k > 1:
-        step = np.maximum(abs(t1), abs(t2)) / k
+        prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
     result = []
-    for o, v in zip(out, (prev, cur, shift, step)):
+    for o, v in zip(out, (prev, cur, shift)):
         o[:len(x)] = v
         values = np.empty_like(o)
         values[order] = o

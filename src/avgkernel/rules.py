@@ -5,9 +5,9 @@ recurrence polish them together.  compute_rules builds many orders at
 once: their nodes share one array, so the seeds are one numpy expression,
 and each Newton pass and the weight pass run the recurrence once over the
 whole group, each node stopping at its own order; compute_rule is a group
-of one.  A node stops on a small residual or when its steps reach the
-rounding noise; a group whose nodes are not all converged, or not spaced
-like their seeds, raises ConvergenceError.  The weights come from L_k'
+of one.  A node stops when its Newton step reaches the rounding noise or
+stalls; a group whose nodes are not all converged, or not spaced like
+their seeds, raises ConvergenceError.  The weights come from L_k'
 at the same degree.  Rules are cached on disk as one checksummed CSV per
 order.
 """
@@ -26,7 +26,6 @@ import numpy as np
 
 from .laguerre import _recurrence_scaled
 
-_RESIDUAL_TOL = 1e-13
 _MIN_NORMAL = sys.float_info.min
 
 _FORMAT_VERSION = 3
@@ -126,9 +125,8 @@ def _polish(degree: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Newton-polish zeros of Laguerre polynomials at once.
 
     z[i] is a zero of L_{degree[i]}; one array may hold the zeros of many
-    orders.  A node stops when the residual test |L_k| <= tol * step
-    passes, when its Newton step falls below the rounding noise, or when
-    its step stops shrinking (at least half the one before): a converged
+    orders.  A node stops when its Newton step falls below the rounding
+    noise or stops shrinking (at least half the one before): a converged
     iterate only wanders within the noise of L_k's evaluation.  Every node
     keeps the Newton correction computed from its last evaluation.
     """
@@ -140,13 +138,12 @@ def _polish(degree: np.ndarray, z: np.ndarray) -> np.ndarray:
             break
         k = degree[todo]
         x = z[todo]
-        prev, cur, _, step = _recurrence_scaled(int(k.max()), x, k)
+        prev, cur, _ = _recurrence_scaled(int(k.max()), x, k)
         dz = cur * x / (k * (cur - prev))
         z[todo] = x - dz
         size = np.abs(dz)
         # written so that a NaN step keeps the node in the loop
-        stopped = ((np.abs(cur) <= _RESIDUAL_TOL * step) | (size <= _NOISE_WIDTH * np.abs(x))
-                   | (size >= 0.5 * last[todo]))
+        stopped = (size <= _NOISE_WIDTH * np.abs(x)) | (size >= 0.5 * last[todo])
         last[todo] = size
         todo = todo[~stopped]
     if len(todo):
@@ -182,7 +179,7 @@ def _build_group(orders: list[int]) -> list[QuadratureRule]:
     nodes = _polish(degree, seeds)
     # weights 1 / (x L_k'(x)^2) = x / (k (L_k(x) - L_{k-1}(x)))^2 at the
     # zeros: a node error reaches the weight about 1:1 through L_k'
-    prev, cur, shift, _ = _recurrence_scaled(max(orders), nodes, degree)
+    prev, cur, shift = _recurrence_scaled(max(orders), nodes, degree)
     mant, exp = np.frexp(degree * (cur - prev))
     weights = np.ldexp(nodes / (mant * mant), -2 * (exp + shift))
     # below the smallest normal double the tail contribution is noise

@@ -9,7 +9,7 @@ subcommand in csv and json: `rule` and `table3` once each, and `converge`,
 at order 60, on a fresh temporary rule cache; then `table3` once more with
 caching disabled, which builds every rule in the process; then, again in
 both formats, the invocations of EDGE_CASES, which reach the other
-statuses and exit codes.  Each output line is
+statuses and exit codes and the largest rule order.  Each output line is
 "<sha256 of stdout> rc=<exit code> <arguments>", so the corpora of two
 checkouts, compared with diff, show every invocation whose output changed.
 A refactor that must keep stdout byte-identical runs it on both sides.
@@ -33,9 +33,11 @@ KERNELS = (
 # A series too short for a fit (status short), explicit fit windows, a
 # kernel integrated exactly (exact), one whose fitted slope allows no
 # remainder (divergent, and an oracle overflow: exit 3), a kernel with a
-# wrong declared degree (exit 1), and rejected arguments (exit 2), among
-# them a degree that is not finite.
+# wrong declared degree (exit 1), rejected arguments (exit 2), among them
+# a degree that is not finite, and the rule of the largest order accepted,
+# the only one whose build rescales the recurrence's terms.
 EDGE_CASES = (
+    ["rule", "--points", "2000"],
     ["converge", "--kernel", "SC", "--max-points", "10"],
     ["converge", "--kernel", "SC", "--max-points", ORDER, "--fit-window", "5:20"],
     ["report", "--kernel", "SC", "--max-points", ORDER, "--fit-window", "5:20"],

@@ -38,27 +38,23 @@ def laguerre_derivative_series(k, x):
 
 
 def recurrence_scaled_stepwise(k, x):
-    """Scalar (L_{k-1}, L_k) mantissas, shift and step, renormalized every step.
+    """Scalar (L_{k-1}, L_k) mantissas and shift, renormalized every step.
 
     The straightforward loop that avgkernel.laguerre._recurrence_scaled
     speeds up: it rescales by a power of two whenever a term leaves
     [2**-512, 2**512].  Power-of-two rescaling is exact, so both must give
-    the same values prev * 2**shift, cur * 2**shift and step * 2**shift.
+    the same values prev * 2**shift and cur * 2**shift.
     """
     big, small = 2.0**512, 2.0**-512
     prev, cur, shift = 1.0, 1.0 - x, 0
-    step = max(abs(cur), 1.0)
     for n in range(1, k):
-        t1 = (2 * n + 1 - x) * cur
-        t2 = n * prev
-        prev, cur = cur, (t1 - t2) / (n + 1)
-        step = max(abs(t1), abs(t2)) / (n + 1)
-        m = max(abs(prev), abs(cur), step)
+        prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
+        m = max(abs(prev), abs(cur))
         if m > big or m < small:
             _, e = math.frexp(m)
-            prev, cur, step = math.ldexp(prev, -e), math.ldexp(cur, -e), math.ldexp(step, -e)
+            prev, cur = math.ldexp(prev, -e), math.ldexp(cur, -e)
             shift += e
-    return prev, cur, shift, step
+    return prev, cur, shift
 
 
 def _on_full_grid(f, x, y):

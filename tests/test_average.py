@@ -15,7 +15,8 @@ from avgkernel.average import (
     pre_exponential_factor,
 )
 from avgkernel import average, tensor_quad
-from avgkernel.extrapolate import ConvergenceReport, RemainderEstimate, full_report
+from avgkernel.extrapolate import (ConvergenceReport, RemainderEstimate, error_sequence,
+                                   fit_slope, full_report)
 from avgkernel.kernels import builtin_kernel, eval_kernel, parse_kernel
 from avgkernel.rules import load_or_compute_rule
 from avgkernel.tensor_quad import ConvergenceSeries, convergence_series, integrate_2d
@@ -30,7 +31,7 @@ P_EXACT_CR = 2.209199576156145
 def result_with(p, q, estimate=None):
     """A pipeline record for p and q; its report is exact unless an
     estimate is given."""
-    report = ConvergenceReport(1, 2.0 * p, estimate, exact=estimate is None)
+    report = ConvergenceReport(2.0 * p, estimate, exact=estimate is None)
     return AverageKernelResult("t", q, ConvergenceSeries([1], [2.0 * p], "t"), report)
 
 
@@ -61,8 +62,10 @@ def test_factor_respects_fit_window(cache_dir):
     spec = builtin_kernel("CR")
     a = pre_exponential_factor(spec, 30, cache_dir)
     b = pre_exponential_factor(spec, 30, cache_dir, fit_window=(5, 20))
-    assert a.report.estimate.fit_window == (15, 29)
-    assert b.report.estimate.fit_window == (5, 20)
+    errors = error_sequence(a.series)
+    assert a.report.estimate.slope == fit_slope(errors, (15, 29))
+    assert b.report.estimate.slope == fit_slope(errors, (5, 20))
+    assert a.report.estimate.slope != b.report.estimate.slope
     assert a.p == b.p  # the window changes only the remainder fit
 
 
@@ -132,8 +135,8 @@ def test_column_and_row_evaluation_matches_full_grid_bitwise(kernel, cache_dir):
 
 
 def test_oracle_broadcasts_constant_kernel():
-    # a constant kernel returns a scalar, which is broadcast to the nodes;
-    # "2 + 0*x" returns the same values as an array, summed in the same order
+    # the constant "2" and "2 + 0*x" give the oracle the same values at the
+    # same nodes, so they sum to the same value
     got = population_average_oracle(parse_kernel("q=0; 2"), 1.0)
     assert math.isfinite(got)
     assert got == population_average_oracle(parse_kernel("q=0; 2 + 0*x"), 1.0)
@@ -320,5 +323,5 @@ def test_average_agrees_with_oracle_at_moderate_order(cache_dir):
 
 
 def test_remainder_value_none_when_estimate_missing():
-    est = RemainderEstimate(10, 1e-3, -0.5, None, (5, 9))
+    est = RemainderEstimate(1e-3, -0.5, None)
     assert result_with(1.0, 0.0, est).remainder_value is None

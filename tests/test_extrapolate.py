@@ -105,15 +105,17 @@ def test_full_report_recovers_power_law():
     assert isinstance(report, ConvergenceReport)
     assert not report.exact
     est = report.estimate
-    assert est.fit_window == (20, 39)
-    assert est.anchor_order == 39
+    # the default window is the upper half of the error orders, 20..39,
+    # and the anchor the last of them
+    errors = error_sequence(series)
+    assert est.slope == fit_slope(errors, (20, 39))
+    assert errors[-1] == (39, est.anchor_error)
     assert est.anchor_error == pytest.approx(39.0**-2.0, rel=1e-13)
     assert est.slope == pytest.approx(-2.0, abs=1e-10)
     assert est.remainder == pytest.approx(
         remainder_estimate(est.anchor_error, est.slope, 39), rel=1e-13
     )
     assert report.remainder_value == est.remainder
-    assert report.final_order == 40
     assert report.final_value == series.values[-1]
 
 
@@ -189,8 +191,8 @@ def test_report_scaled_halves_everything_linear():
     half = AverageKernelResult("synthetic", 0.0, series, report)
     assert half.p == 0.5 * report.final_value
     assert half.remainder_value == 0.5 * report.estimate.remainder
-    assert half.report.estimate.fit_window == report.estimate.fit_window
-    assert half.report.final_order == report.final_order
+    # the report itself stays on the scale of Q
+    assert half.report == report
 
 
 def test_report_scaled_keeps_exact_flag():

@@ -54,6 +54,14 @@ def test_builtin_lookup_case_insensitive():
         builtin_kernel("nope")
 
 
+def test_parse_kernel_returns_builtins():
+    # --kernel takes a builtin id or an expression; parse_kernel tells them apart
+    assert parse_kernel(" fm ") == builtin_kernel("FM")
+    assert parse_kernel("Sd") == builtin_kernel("SD")
+    with pytest.raises(KernelSyntaxError):
+        parse_kernel("fmx")
+
+
 def test_builtin_array_eval_matches_scalar():
     pts = sample_pairs(40)
     for kid in BUILTIN_DEGREES:

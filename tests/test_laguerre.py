@@ -12,20 +12,20 @@ SAMPLE_X = (Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(5), Fraction(2
 
 
 def scaled(k, x):
-    """(prev, cur, shift, step) of the recurrence to degree k at the one point x."""
-    prev, cur, shift, step = _recurrence_scaled(k, np.array([x]), np.array([k]))
-    return float(prev[0]), float(cur[0]), int(shift[0]), float(step[0])
+    """(prev, cur, shift) of the recurrence to degree k at the one point x."""
+    prev, cur, shift = _recurrence_scaled(k, np.array([x]), np.array([k]))
+    return float(prev[0]), float(cur[0]), int(shift[0])
 
 
 def value(k, x):
     """L_k(x) = cur * 2**shift as a float."""
-    _, cur, shift, _ = scaled(k, x)
+    _, cur, shift = scaled(k, x)
     return math.ldexp(cur, shift)
 
 
 def derivative(k, x):
     """L_k'(x) = k (L_k(x) - L_{k-1}(x)) / x, the Newton step of rules._polish."""
-    prev, cur, shift, _ = scaled(k, x)
+    prev, cur, shift = scaled(k, x)
     return math.ldexp(k * (cur - prev) / x, shift)
 
 
@@ -41,20 +41,20 @@ def test_eval_low_orders():
     assert value(1, 0.25) == 0.75
     # L_2(2) = -1 exactly in float arithmetic
     assert value(2, 2.0) == -1.0
-    prev, _, shift, _ = scaled(1, 3.7)
+    prev, _, shift = scaled(1, 3.7)
     assert math.ldexp(prev, shift) == 1.0  # L_0
 
 
 def test_scaled_survives_huge_magnitudes():
     # |L_361(1400)| ~ 1e302, still representable; the scaled path must
     # agree with an independent high-precision evaluation of its log.
-    _, cur, shift, _ = scaled(361, 1400.0)
+    _, cur, shift = scaled(361, 1400.0)
     log10 = shift * math.log10(2.0) + math.log10(abs(cur))
     assert log10 == pytest.approx(302.2749030913865, abs=1e-6)
 
 
 def test_scaled_overflow_is_explicit():
-    _, cur, shift, _ = scaled(400, 1590.0)
+    _, cur, shift = scaled(400, 1590.0)
     mantissa, exponent = math.frexp(cur)
     assert 0.5 <= abs(mantissa) < 1.0
     assert exponent + shift > 1025  # |L_400(1590)| >= 2**1025: beyond any finite double
@@ -62,10 +62,10 @@ def test_scaled_overflow_is_explicit():
         math.ldexp(cur, shift)
 
 
-def _normalized_values(prev, cur, shift, step):
-    """(mantissa, exponent) of each of the three scaled values."""
+def _normalized_values(prev, cur, shift):
+    """(mantissa, exponent) of each of the two scaled values."""
     out = []
-    for v in (prev, cur, step):
+    for v in (prev, cur):
         m, e = math.frexp(v)
         out.append((m, e + shift if m else 0))
     return out
@@ -78,19 +78,19 @@ def test_recurrence_matches_stepwise_reference_bitwise():
     for k in (1, 2, 7, 80, 361, 400):
         expected = [_normalized_values(*recurrence_scaled_stepwise(k, x)) for x in xs]
         assert [_normalized_values(*scaled(k, x)) for x in xs] == expected
-        prev, cur, shift, step = _recurrence_scaled(k, np.array(xs), np.full(len(xs), k))
-        assert prev.shape == cur.shape == shift.shape == step.shape == (len(xs),)
-        got = [_normalized_values(float(p), float(c), int(s), float(t))
-               for p, c, s, t in zip(prev, cur, shift, step)]
+        prev, cur, shift = _recurrence_scaled(k, np.array(xs), np.full(len(xs), k))
+        assert prev.shape == cur.shape == shift.shape == (len(xs),)
+        got = [_normalized_values(float(p), float(c), int(s))
+               for p, c, s in zip(prev, cur, shift)]
         assert got == expected
     # one call with a degree per element, in no particular order
     degrees = np.array([7, 400, 1, 80, 2, 361, 1, 400, 80] * len(xs))
     x = np.repeat(xs, 9)
     expected = [_normalized_values(*recurrence_scaled_stepwise(int(k), v))
                 for k, v in zip(degrees, x)]
-    prev, cur, shift, step = _recurrence_scaled(400, x, degrees)
-    got = [_normalized_values(float(p), float(c), int(s), float(t))
-           for p, c, s, t in zip(prev, cur, shift, step)]
+    prev, cur, shift = _recurrence_scaled(400, x, degrees)
+    got = [_normalized_values(float(p), float(c), int(s))
+           for p, c, s in zip(prev, cur, shift)]
     assert got == expected
 
 
