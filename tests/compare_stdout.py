@@ -6,10 +6,10 @@
 PARENT_SRC and CHANGE_SRC are the `src` directories of two avgkernel
 checkouts.  Every invocation of tests/stdout_corpus.py runs against both,
 each side on its own fresh rule cache.  One line is printed per
-invocation: "same <arguments>" when stdout and the exit code are
+invocation: "same <arguments>" when stdout, stderr and the exit code are
 byte-identical, otherwise "diff <arguments>: " followed by each field that
 moved and the largest relative change among its numbers, |new - old| /
-|old|.  A field is a csv column (named by the "# columns:" header, else by
+|old|, and "stderr text" when standard error changed.  A field is a csv column (named by the "# columns:" header, else by
 position), the label of a "#" trailer line, or a json key path; "text"
 marks a field whose non-numeric value, or number of values, changed.  The
 last line counts the invocations that differ.
@@ -58,6 +58,12 @@ def fields(stdout: bytes) -> dict[str, list]:
     return values
 
 
+def skeleton(stdout: str) -> str:
+    """The output with every number replaced by 0: its text, which a
+    change of printed digits leaves alone."""
+    return _NUMBER.sub("0", stdout)
+
+
 def change(old: list, new: list):
     """The largest relative change between two value lists; "text" when
     they differ other than in the numbers they hold."""
@@ -81,6 +87,8 @@ def describe(old, new) -> str:
     """The moved fields of two runs of one invocation, in output order."""
     parts = [] if old.returncode == new.returncode else [
         f"exit code {old.returncode} -> {new.returncode}"]
+    if old.stderr != new.stderr:
+        parts.append("stderr text")
     try:
         before, after = fields(old.stdout), fields(new.stdout)
     except (UnicodeDecodeError, json.JSONDecodeError):
@@ -110,7 +118,8 @@ def main() -> int:
             old = run(sources[0], args, parent_cache)
             new = run(sources[1], args, change_cache)
             total += 1
-            if (old.stdout, old.returncode) == (new.stdout, new.returncode):
+            if (old.stdout, old.stderr, old.returncode) == (new.stdout, new.stderr,
+                                                            new.returncode):
                 print(f"same {shown(args)}", flush=True)
             else:
                 differ += 1

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Print one sha256 of standard output per CLI invocation of a corpus.
+"""Print one sha256 of standard output per CLI invocation of a corpus, or
+freeze the corpus's output as the golden that a tier-1 test holds it to.
 
     python3 tests/stdout_corpus.py SRC > corpus.txt
+    python3 tests/stdout_corpus.py --freeze SRC
 
 SRC is the `src` directory of an avgkernel checkout.  The corpus runs every
 subcommand in csv and json: `rule` and `table3` once each, and `converge`,
@@ -13,17 +15,27 @@ statuses and exit codes and the largest rule order.  Each output line is
 "<sha256 of stdout> rc=<exit code> <arguments>", so the corpora of two
 checkouts, compared with diff, show every invocation whose output changed.
 A refactor that must keep stdout byte-identical runs it on both sides.
+
+With --freeze it writes tests/corpus_golden.json instead: for each
+invocation its arguments, exit code, standard error, standard output with
+every number replaced by 0 (compare_stdout.skeleton), and the printed
+fields with their numbers (compare_stdout.fields).  tests/test_corpus_golden.py
+runs the corpus in-process and compares against it.  A change that means
+to alter the output regenerates the golden, and the golden's diff shows
+what moved.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+GOLDEN = Path(__file__).resolve().parent / "corpus_golden.json"
 ORDER = "60"
 KERNELS = (
     "FM", "CR", "SC", "SD",
@@ -89,19 +101,38 @@ def shown(args: list[str]) -> str:
     return " ".join(arg or "''" for arg in args)
 
 
+def record(args: list[str], rc: int, stdout: str, stderr: str) -> dict:
+    """The golden entry of one invocation."""
+    from compare_stdout import fields, skeleton
+
+    return {"args": args, "rc": rc, "stderr": stderr,
+            "text": skeleton(stdout), "fields": fields(stdout.encode("utf-8"))}
+
+
 def main() -> int:
-    if len(sys.argv) != 2:
+    argv = sys.argv[1:]
+    freeze = argv[:1] == ["--freeze"]
+    argv = argv[freeze:]
+    if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    src = package_src(sys.argv[1])
+    src = package_src(argv[0])
     if src is None:
-        print(f"stdout_corpus: no avgkernel package under {sys.argv[1]}", file=sys.stderr)
+        print(f"stdout_corpus: no avgkernel package under {argv[0]}", file=sys.stderr)
         return 2
+    golden = []
     with tempfile.TemporaryDirectory(prefix="avgkernel-corpus-") as cache:
         for args in invocations():
             proc = run(src, args, cache)
+            if freeze:
+                golden.append(record(args, proc.returncode, proc.stdout.decode("utf-8"),
+                                     proc.stderr.decode("utf-8")))
+                continue
             digest = hashlib.sha256(proc.stdout).hexdigest()
             print(f"{digest} rc={proc.returncode} {shown(args)}", flush=True)
+    if freeze:
+        GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(golden)} invocations to {GOLDEN}")
     return 0
 
 
