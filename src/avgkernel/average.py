@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extrapolate import FIT_ORDERS, ConvergenceReport, full_report
+from .extrapolate import Fit, full_report
 from .kernels import KernelSpec, eval_kernel
-from .tensor_quad import ConvergenceSeries, convergence_series
+from .tensor_quad import convergence_series
 
 
 class ResolutionError(RuntimeError):
@@ -29,41 +29,39 @@ class ResolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class AverageKernelResult:
-    """One kernel through the pipeline: its series Q_1..Q_k, the report of
-    that series on the scale of Q (None for a series shorter than
-    FIT_ORDERS, which takes no fit), and q, so that the average kernel is
-    p*u^q with p = Q_k/2.
+    """One kernel through the pipeline: its series Q_1..Q_k (Q_k at index
+    k-1), the fit of that series on the scale of Q, and q, so that the
+    average kernel is p*u^q with p = Q_k/2.
     """
 
     kernel_id: str
     q: float
-    series: ConvergenceSeries
-    report: ConvergenceReport | None
+    values: list[float]
+    fit: Fit
 
     @property
     def p(self) -> float:
-        return self.series.values[-1] / 2.0
+        return self.values[-1] / 2.0
 
     @property
     def remainder_value(self) -> float | None:
         """The remainder on the scale of p: 0 when exact, None when no
         finite estimate exists or no fit was made."""
-        r = None if self.report is None else self.report.remainder_value
+        r = self.fit.remainder
         return None if r is None else r / 2.0
 
 
 def pre_exponential_factor(spec: KernelSpec, k_max: int, cache_dir=None,
                            fit_window=None) -> AverageKernelResult:
-    """Run the kernel's convergence series and, from FIT_ORDERS orders on,
-    its report; p is half the final value.  Every command that prints a
-    series, p or a remainder runs this.
+    """Run the kernel's convergence series and its fit; p is half the
+    final value.  Every command that prints a series, p or a remainder
+    runs this.
     """
     if spec.degree_q is None:
         raise ValueError("kernel has no homogeneity degree set")
-    series = convergence_series(lambda x, y: eval_kernel(spec, x, y),
-                                k_max, cache_dir, spec.label)
-    report = full_report(series, fit_window) if k_max >= FIT_ORDERS else None
-    return AverageKernelResult(spec.label, spec.degree_q, series, report)
+    values = convergence_series(lambda x, y: eval_kernel(spec, x, y), k_max, cache_dir)
+    return AverageKernelResult(spec.label, spec.degree_q, values,
+                               full_report(values, fit_window))
 
 
 def average_kernel(result: AverageKernelResult, u: float) -> float:

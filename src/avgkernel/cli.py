@@ -72,11 +72,12 @@ def _order(value: int, flag: str, least: int, suffix: str = "") -> int:
     return value
 
 
-def _fit_window(args, k_max: int) -> tuple[int, int]:
-    """--fit-window A:B, or the default window when it is not given."""
+def _fit_window(args, k_max: int) -> tuple[int, int] | None:
+    """--fit-window A:B, checked against a series of k_max orders before
+    the series runs; None when it is not given."""
     text = args.fit_window
     if not text:
-        return fit_window(k_max)
+        return None
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"fit window must be A:B, got {text!r}")
@@ -84,7 +85,11 @@ def _fit_window(args, k_max: int) -> tuple[int, int]:
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"fit window must be two integers A:B, got {text!r}") from None
-    return fit_window(k_max, (a, b))
+    fit_window(k_max, (a, b))
+    if k_max < FIT_ORDERS:
+        raise ValueError(f"--fit-window needs --max-points >= {FIT_ORDERS}"
+                         " (a remainder fit takes at least that many orders)")
+    return (a, b)
 
 
 def _emit(*cells) -> None:
@@ -109,18 +114,9 @@ def _beta_display(p: float, q: float) -> str:
     return f"{p:.4f}*u^({_q_fraction(q)})"
 
 
-def _report_fields(report):
-    """(status, C, R, II text) of a report on the scale of Q; status short,
-    and the rest None, for a series too short to take one."""
-    if report is None:
-        return "short", None, None, None
-    q = report.final_value
-    if report.exact:
-        return "exact", None, 0.0, f"{q:.4f} ± 0.0000"
-    est = report.estimate
-    if est.remainder is None:
-        return "divergent", est.slope, None, "no estimate"
-    return "estimated", est.slope, est.remainder, f"{q:.4f} ± {est.remainder:.4f}"
+def _ii(q: float, fit) -> str:
+    """The II text of a fit: Q ± R to four decimals, or no estimate."""
+    return "no estimate" if fit.remainder is None else f"{q:.4f} ± {fit.remainder:.4f}"
 
 
 def cmd_rule(args, cache_dir) -> int:
@@ -140,75 +136,67 @@ def cmd_rule(args, cache_dir) -> int:
 def cmd_converge(args, cache_dir) -> int:
     k_max = _order(args.max_points, "--max-points", 2)
     spec = _kernel(args)
-    window = _fit_window(args, k_max)
-    if args.fit_window and k_max < FIT_ORDERS:
-        raise ValueError(f"--fit-window needs --max-points >= {FIT_ORDERS}"
-                         " (a remainder fit takes at least that many orders)")
-    result = pre_exponential_factor(spec, k_max, cache_dir, window)
-    series, report = result.series, result.report
-    eps = [e for _, e in error_sequence(series)]
-    status, slope, remainder, ii = _report_fields(report)
+    result = pre_exponential_factor(spec, k_max, cache_dir, _fit_window(args, k_max))
+    values, fit = result.values, result.fit
+    eps = error_sequence(values)
 
     if args.format == "json":
         payload = {
             "kernel": spec.label,
             "k_max": k_max,
-            "orders": series.orders,
-            "values": series.values,
+            "orders": list(range(1, k_max + 1)),
+            "values": values,
             "errors": eps,
-            "status": status,
+            "status": fit.status,
         }
-        if report is not None:
-            payload.update({"C": slope, "R": remainder, "Q": report.final_value,
-                            "fit_window": list(window), "II": ii})
+        if fit.status != "short":
+            payload.update({"C": fit.slope, "R": fit.remainder, "Q": values[-1],
+                            "fit_window": list(fit.window), "II": _ii(values[-1], fit)})
         _emit(json.dumps(payload))
         return 0
 
-    for k, value in zip(series.orders, series.values):
-        _emit(k, value, eps[k - 1] if k < k_max else None)
-    if status == "short":
+    for k, (value, e) in enumerate(zip(values, [*eps, None]), start=1):
+        _emit(k, value, e)
+    if fit.status == "short":
         _emit(f"# series too short for a remainder fit (need >= {FIT_ORDERS} orders)")
         return 0
-    if status == "exact":
+    if fit.status == "exact":
         _emit("# converged exactly, R = 0")
     else:
-        _emit(f"# C = {format_float(slope)} (fit window {window[0]}:{window[1]})")
-        _emit("# R = no estimate (C >= -1)" if remainder is None
-              else f"# R = {format_float(remainder)}")
-    _emit(f"# II = {ii}")
+        _emit(f"# C = {format_float(fit.slope)} (fit window {fit.window[0]}:{fit.window[1]})")
+        _emit("# R = no estimate (C >= -1)" if fit.remainder is None
+              else f"# R = {format_float(fit.remainder)}")
+    _emit(f"# II = {_ii(values[-1], fit)}")
     return 0
 
 
 def cmd_report(args, cache_dir) -> int:
     k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for report")
     spec = _kernel(args)
-    window = _fit_window(args, k_max)
-    result = pre_exponential_factor(spec, k_max, cache_dir, window)
-    report = result.report
-    status, slope, remainder, ii = _report_fields(report)
-    eps = None if report.exact else report.estimate.anchor_error
+    result = pre_exponential_factor(spec, k_max, cache_dir, _fit_window(args, k_max))
+    fit, q_k = result.fit, result.values[-1]
     beta = _beta_display(result.p, result.q)
 
     if args.format == "json":
         _emit(json.dumps({
             "kernel": spec.label,
             "k_max": k_max,
-            "Q": report.final_value,
-            "eps": eps,
-            "C": slope,
-            "R": remainder,
+            "Q": q_k,
+            "eps": fit.anchor_error,
+            "C": fit.slope,
+            "R": fit.remainder,
             "p": result.p,
             "q": result.q,
             "beta_bar": beta,
-            "status": status,
-            "fit_window": list(window),
-            "II": ii,
+            "status": fit.status,
+            "fit_window": list(fit.window),
+            "II": _ii(q_k, fit),
         }))
         return 0
 
     _emit("# columns: kernel,Q,eps_n,C,R,p,q,beta_bar")
-    _emit(spec.label, report.final_value, eps, slope, remainder, result.p, result.q, beta)
-    _emit(f"# II = {ii}")
+    _emit(spec.label, q_k, fit.anchor_error, fit.slope, fit.remainder, result.p, result.q, beta)
+    _emit(f"# II = {_ii(q_k, fit)}")
     return 0
 
 
@@ -307,8 +295,8 @@ def main(argv=None) -> int:
         sys.stdout.reconfigure(encoding="utf-8", newline="\n")
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
     try:
+        cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
         return args.func(args, cache_dir)
     except ValueError as exc:
         print(f"avgkernel: {exc}", file=sys.stderr)

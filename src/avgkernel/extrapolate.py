@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_quad import ConvergenceSeries
-
 
 # The fewest series orders a remainder fit takes.
 FIT_ORDERS = 20
@@ -29,55 +27,40 @@ class DegenerateFitError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class RemainderEstimate:
-    """Fitted slope and extrapolated tail for one convergence series.
+class Fit:
+    """The remainder fit of a series Q_1..Q_k, on the scale of Q.
 
-    remainder is None exactly when slope >= -1 (no finite estimate); the
-    caller must report that state, never substitute 0.
+    status is one of
+    - "short": fewer than FIT_ORDERS orders, no fit; every other field is None;
+    - "exact": the tail differences vanished; remainder 0.0, no anchor or slope;
+    - "estimated": slope C < -1 and a finite remainder;
+    - "divergent": slope C >= -1, remainder None, which the caller must
+      report as such, never as 0.
     """
 
-    anchor_error: float
-    slope: float
+    status: str
+    window: tuple[int, int] | None
+    anchor_error: float | None
+    slope: float | None
     remainder: float | None
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Final series value plus its remainder estimate.
-
-    exact is True when the tail differences vanished (more than half the
-    fit window is exactly zero); the remainder is then 0 and estimate is
-    None.
-    """
-
-    final_value: float
-    estimate: RemainderEstimate | None
-    exact: bool
-
-    @property
-    def remainder_value(self) -> float | None:
-        """0 when converged exactly, None when no estimate exists."""
-        if self.exact:
-            return 0.0
-        return self.estimate.remainder if self.estimate is not None else None
-
-
-def error_sequence(series: ConvergenceSeries) -> list[tuple[int, float]]:
-    """eps_n = |Q_{n+1} - Q_n| indexed by the lower order n."""
-    values = series.values
+def error_sequence(values: list[float]) -> list[float]:
+    """eps_n = |Q_{n+1} - Q_n| of the series Q_1..Q_k, eps_n at index n-1."""
     if len(values) < 2:
         raise ValueError("need at least 2 series entries")
-    return [(n, abs(values[n] - values[n - 1])) for n in range(1, len(values))]
+    return [abs(b - a) for a, b in zip(values, values[1:])]
 
 
-def fit_slope(errors, window) -> float:
-    """Least-squares slope of ln eps against ln n over the window.
+def fit_slope(errors: list[float], window) -> float:
+    """Least-squares slope of ln eps_n against ln n over the orders n of
+    the window, with eps_n at index n-1 of errors.
 
     Zero entries are skipped (their log is undefined); fewer than two
     remaining points is a degenerate fit.
     """
     a, b = window
-    pts = [(n, e) for n, e in errors if a <= n <= b and e > 0.0]
+    pts = [(n, e) for n, e in enumerate(errors[a - 1:b], start=a) if e > 0.0]
     if len(pts) < 2:
         raise DegenerateFitError(
             f"window {a}:{b} holds {len(pts)} positive error entries, need 2"
@@ -110,8 +93,9 @@ def fit_window(k_max: int, window=None) -> tuple[int, int]:
     return (a, b)
 
 
-def full_report(series: ConvergenceSeries, window=None) -> ConvergenceReport:
-    """error_sequence + fit_slope + remainder_estimate, anchored at the top order.
+def full_report(values: list[float], window=None) -> Fit:
+    """The fit of the series Q_1..Q_k: error_sequence + fit_slope +
+    remainder_estimate, anchored at the top order.
 
     Differences at the rounding level of the series values count as zero:
     a converged integrand (constant, or exactly integrated polynomial)
@@ -121,19 +105,17 @@ def full_report(series: ConvergenceSeries, window=None) -> ConvergenceReport:
     1e-12 at order 361).  It decides whether a series is reported exact or
     estimated, so moving it could change the printed status.
     """
-    if len(series.values) < FIT_ORDERS:
-        raise ValueError(f"series too short for a report (need >= {FIT_ORDERS} orders)")
-    k_max = series.orders[-1]
-    window = fit_window(k_max, window)
+    if len(values) < FIT_ORDERS:
+        return Fit("short", None, None, None, None)
+    window = fit_window(len(values), window)
     a, b = window
-    floor = 1e-10 * max(abs(v) for v in series.values)
-    errors = error_sequence(series)
-    in_window = [e for n, e in errors if a <= n <= b]
-    zeros = sum(1 for e in in_window if e <= floor)
-    n_anchor, eps_anchor = errors[-1]
-    if zeros > len(in_window) / 2 or eps_anchor <= floor:
-        return ConvergenceReport(series.values[-1], None, exact=True)
-    slope = fit_slope([(n, e) for n, e in errors if e > floor], window)
-    r = None if slope >= -1.0 else remainder_estimate(eps_anchor, slope, n_anchor)
-    est = RemainderEstimate(eps_anchor, slope, r)
-    return ConvergenceReport(series.values[-1], est, exact=False)
+    floor = 1e-10 * max(abs(v) for v in values)
+    errors = [e if e > floor else 0.0 for e in error_sequence(values)]
+    anchor = errors[-1]
+    if errors[a - 1:b].count(0.0) > (b - a + 1) / 2 or anchor == 0.0:
+        return Fit("exact", window, None, None, 0.0)
+    slope = fit_slope(errors, window)
+    if slope >= -1.0:
+        return Fit("divergent", window, anchor, slope, None)
+    return Fit("estimated", window, anchor, slope,
+               remainder_estimate(anchor, slope, len(errors)))

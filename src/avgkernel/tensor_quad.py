@@ -13,7 +13,6 @@ and it builds all the orders missing from the cache in one batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +21,6 @@ from .rules import QuadratureRule, compute_rules, has_cache_file, load_or_comput
 
 class IntegrandError(ArithmeticError):
     """The integrand returned a non-finite value at a quadrature node."""
-
-
-@dataclass(frozen=True)
-class ConvergenceSeries:
-    """Q_{k,k} for k = 1..k_max, all finite, orders contiguous from 1."""
-
-    orders: list[int]
-    values: list[float]
-    integrand_id: str
 
 
 def integrate_2d(rule: QuadratureRule, f) -> float:
@@ -82,9 +72,8 @@ def _shared_rules(k_max: int, cache_dir):
         yield _LOADED[k, cache_dir]
 
 
-def convergence_series(f, k_max: int, cache_dir=None,
-                       integrand_id: str = "integrand") -> ConvergenceSeries:
-    """Q_{k,k} for every k in 1..k_max using cached rules.
+def convergence_series(f, k_max: int, cache_dir=None) -> list[float]:
+    """Q_{k,k} for k = 1..k_max, all finite, Q_k at index k-1, from cached rules.
 
     A rule loaded for an earlier call with the same cache_dir is reused.
     """
@@ -99,4 +88,4 @@ def convergence_series(f, k_max: int, cache_dir=None,
         if not math.isfinite(q):
             raise IntegrandError(f"order {rule.order}: quadrature value is {q}")
         values.append(q)
-    return ConvergenceSeries(list(range(1, k_max + 1)), values, integrand_id)
+    return values

@@ -9,10 +9,12 @@ each side on its own fresh rule cache.  One line is printed per
 invocation: "same <arguments>" when stdout, stderr and the exit code are
 byte-identical, otherwise "diff <arguments>: " followed by each field that
 moved and the largest relative change among its numbers, |new - old| /
-|old|, and "stderr text" when standard error changed.  A field is a csv column (named by the "# columns:" header, else by
+|old|.  A field is a csv column (named by the "# columns:" header, else by
 position), the label of a "#" trailer line, or a json key path; "text"
-marks a field whose non-numeric value, or number of values, changed.  The
-last line counts the invocations that differ.
+marks a field whose non-numeric value, or number of values, changed.
+"stdout text" marks any change of the output other than in its numbers,
+and "stderr text" a change of standard error.  The last line counts the
+invocations that differ.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ def describe(old, new) -> str:
         before, after = fields(old.stdout), fields(new.stdout)
     except (UnicodeDecodeError, json.JSONDecodeError):
         return ", ".join(parts + ["stdout (not parsed)"])
+    if skeleton(old.stdout.decode("utf-8")) != skeleton(new.stdout.decode("utf-8")):
+        parts.append("stdout text")
     for name in [*before, *(key for key in after if key not in before)]:
         moved = change(before.get(name, []), after.get(name, []))
         if moved == "text":

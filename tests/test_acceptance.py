@@ -61,14 +61,12 @@ TEN_POINT_WEIGHTS = [0.3084, 0.4011, 0.2180, 0.0620, 0.0095,
 @pytest.fixture(scope="module")
 def full_scale(cache_dir):
     start = time.perf_counter()
-    reports = {}
+    fits = {}
     for kid in KERNEL_IDS:
         spec = builtin_kernel(kid)
-        series = convergence_series(
-            lambda x, y, s=spec: eval_kernel(s, x, y), 361, cache_dir, kid
-        )
-        reports[kid] = full_report(series)
-    return reports, time.perf_counter() - start
+        values = convergence_series(lambda x, y, s=spec: eval_kernel(s, x, y), 361, cache_dir)
+        fits[kid] = (values[-1], full_report(values))
+    return fits, time.perf_counter() - start
 
 
 def run_cli(*args, cache):
@@ -92,32 +90,31 @@ def test_criterion_1_ten_point_rule():
 
 
 def test_criterion_2_full_scale_series(full_scale):
-    reports, elapsed = full_scale
+    fits, elapsed = full_scale
     failures = []
     for kid in KERNEL_IDS:
         ref = REFERENCE_TABLE2[kid]
-        rep = reports[kid]
-        est = rep.estimate
+        q, fit = fits[kid]
         q_ref = Q_361.get(kid, ref["Q"])
-        if abs(rep.final_value - q_ref) > 1e-3:
+        if abs(q - q_ref) > 1e-3:
             failures.append(
-                f"{kid}: Q = {rep.final_value:.6f} vs {q_ref} "
-                f"(|diff| = {abs(rep.final_value - q_ref):.2e} > 1e-3)"
+                f"{kid}: Q = {q:.6f} vs {q_ref} (|diff| = {abs(q - q_ref):.2e} > 1e-3)"
             )
-        if abs(est.slope - ref["C"]) > 0.15:
-            failures.append(f"{kid}: C = {est.slope:.4f} vs {ref['C']}")
-        if abs(est.remainder / ref["R"] - 1.0) > 0.30:
-            failures.append(f"{kid}: R = {est.remainder:.6f} vs {ref['R']}")
+        if abs(fit.slope - ref["C"]) > 0.15:
+            failures.append(f"{kid}: C = {fit.slope:.4f} vs {ref['C']}")
+        if abs(fit.remainder / ref["R"] - 1.0) > 0.30:
+            failures.append(f"{kid}: R = {fit.remainder:.6f} vs {ref['R']}")
     if elapsed > 900.0:
         failures.append(f"runtime {elapsed:.0f}s exceeds 15 minutes")
     assert not failures, "; ".join(failures)
 
 
 def test_order_361_q_matches_extended_precision(full_scale):
-    reports, _ = full_scale
+    fits, _ = full_scale
     for kid, q_ref in Q_361.items():
-        rel = abs(reports[kid].final_value / q_ref - 1.0)
-        assert rel <= 1e-12, f"{kid}: Q = {reports[kid].final_value!r}, rel diff {rel:.2e}"
+        q = fits[kid][0]
+        rel = abs(q / q_ref - 1.0)
+        assert rel <= 1e-12, f"{kid}: Q = {q!r}, rel diff {rel:.2e}"
 
 
 def test_criterion_3_remainder_formula_arithmetic():
@@ -130,16 +127,16 @@ def test_criterion_3_remainder_formula_arithmetic():
 
 
 def test_criterion_4_closed_form_oracles(full_scale):
-    reports, _ = full_scale
+    fits, _ = full_scale
     for kid in ("SC", "CR"):
-        rep = reports[kid]
-        assert abs(rep.final_value - EXACT_Q[kid]) <= 2.0 * rep.estimate.remainder, kid
+        q, fit = fits[kid]
+        assert abs(q - EXACT_Q[kid]) <= 2.0 * fit.remainder, kid
 
 
 def test_criterion_5_pre_exponential_factors(full_scale):
-    reports, _ = full_scale
+    fits, _ = full_scale
     for kid in KERNEL_IDS:
-        p = reports[kid].final_value / 2.0
+        p = fits[kid][0] / 2.0
         ref, tol = REFERENCE_P[kid]
         if kid in Q_361:
             ref = Q_361[kid] / 2.0
@@ -177,7 +174,7 @@ def test_criterion_6_property_suites(cache_dir):
             b = eval_kernel(spec, float(y), float(x))
             assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1e-300)
     # slope recovery on a synthetic power law
-    errors = [(n, 3.0 * n**-2.5) for n in range(1, 61)]
+    errors = [3.0 * n**-2.5 for n in range(1, 61)]
     assert fit_slope(errors, (10, 59)) == pytest.approx(-2.5, abs=1e-10)
 
 

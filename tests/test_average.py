@@ -15,11 +15,10 @@ from avgkernel.average import (
     pre_exponential_factor,
 )
 from avgkernel import average, tensor_quad
-from avgkernel.extrapolate import (ConvergenceReport, RemainderEstimate, error_sequence,
-                                   fit_slope, full_report)
+from avgkernel.extrapolate import Fit, error_sequence, fit_slope, full_report
 from avgkernel.kernels import builtin_kernel, eval_kernel, parse_kernel
 from avgkernel.rules import load_or_compute_rule
-from avgkernel.tensor_quad import ConvergenceSeries, convergence_series, integrate_2d
+from avgkernel.tensor_quad import convergence_series, integrate_2d
 from support import integrate_2d_full_grid
 
 # closed forms precomputed with a 50-digit library: 2 + 6*gamma(5/3)*gamma(4/3)
@@ -28,11 +27,9 @@ P_EXACT_SC = 3.418399152312290
 P_EXACT_CR = 2.209199576156145
 
 
-def result_with(p, q, estimate=None):
-    """A pipeline record for p and q; its report is exact unless an
-    estimate is given."""
-    report = ConvergenceReport(2.0 * p, estimate, exact=estimate is None)
-    return AverageKernelResult("t", q, ConvergenceSeries([1], [2.0 * p], "t"), report)
+def result_with(p, q, fit=Fit("exact", (10, 19), None, None, 0.0)):
+    """A pipeline record for p and q; its fit is exact unless one is given."""
+    return AverageKernelResult("t", q, [2.0 * p], fit)
 
 
 def test_constant_kernel_averages_to_one(cache_dir):
@@ -40,7 +37,7 @@ def test_constant_kernel_averages_to_one(cache_dir):
     result = pre_exponential_factor(spec, 25, cache_dir)
     assert result.p == pytest.approx(1.0, abs=1e-12)
     assert result.q == 0.0
-    assert result.report.exact
+    assert result.fit.status == "exact"
     assert result.remainder_value == 0.0
     assert result.kernel_id == "q=0; 2"
 
@@ -48,32 +45,31 @@ def test_constant_kernel_averages_to_one(cache_dir):
 def test_factor_is_half_the_report(cache_dir):
     spec = builtin_kernel("SC")
     result = pre_exponential_factor(spec, 25, cache_dir)
-    series = convergence_series(
-        lambda x, y: eval_kernel(spec, x, y), 25, cache_dir, spec.label
-    )
-    report = full_report(series)
-    assert result.series == series
-    assert result.report == report
-    assert result.p == 0.5 * report.final_value
-    assert result.remainder_value == 0.5 * report.estimate.remainder
+    values = convergence_series(lambda x, y: eval_kernel(spec, x, y), 25, cache_dir)
+    fit = full_report(values)
+    assert result.values == values
+    assert result.fit == fit
+    assert result.p == 0.5 * values[-1]
+    assert result.remainder_value == 0.5 * fit.remainder
 
 
 def test_factor_respects_fit_window(cache_dir):
     spec = builtin_kernel("CR")
     a = pre_exponential_factor(spec, 30, cache_dir)
     b = pre_exponential_factor(spec, 30, cache_dir, fit_window=(5, 20))
-    errors = error_sequence(a.series)
-    assert a.report.estimate.slope == fit_slope(errors, (15, 29))
-    assert b.report.estimate.slope == fit_slope(errors, (5, 20))
-    assert a.report.estimate.slope != b.report.estimate.slope
+    errors = error_sequence(a.values)
+    assert (a.fit.window, b.fit.window) == ((15, 29), (5, 20))
+    assert a.fit.slope == fit_slope(errors, (15, 29))
+    assert b.fit.slope == fit_slope(errors, (5, 20))
+    assert a.fit.slope != b.fit.slope
     assert a.p == b.p  # the window changes only the remainder fit
 
 
 def test_factor_validates_inputs(cache_dir):
-    # a series too short for a fit gets no report: p is Q_19 / 2, R unknown
+    # a series too short for a fit gets none: p is Q_19 / 2, R unknown
     short = pre_exponential_factor(builtin_kernel("SC"), 19, cache_dir)
-    assert short.report is None
-    assert short.p == short.series.values[18] / 2
+    assert short.fit == Fit("short", None, None, None, None)
+    assert short.p == short.values[18] / 2
     assert short.remainder_value is None
     with pytest.raises(ValueError):
         pre_exponential_factor(builtin_kernel("SC"), 1, cache_dir)
@@ -323,5 +319,5 @@ def test_average_agrees_with_oracle_at_moderate_order(cache_dir):
 
 
 def test_remainder_value_none_when_estimate_missing():
-    est = RemainderEstimate(1e-3, -0.5, None)
-    assert result_with(1.0, 0.0, est).remainder_value is None
+    fit = Fit("divergent", (10, 19), 1e-3, -0.5, None)
+    assert result_with(1.0, 0.0, fit).remainder_value is None

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +270,21 @@ def test_table3_without_cache_builds_each_order_once(monkeypatch, capsys):
     assert cli.main(["table3", "--max-points", "25", "--cache-dir", ""]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
     assert built == list(range(1, 26))
+
+
+def test_unresolvable_cache_dir_exits_3(monkeypatch, capsys):
+    # no cache directory named, and no home directory to put one under
+    monkeypatch.delenv("AVGKERNEL_CACHE_DIR", raising=False)
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+
+    def no_home(path):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.setattr(Path, "expanduser", no_home)
+    assert cli.main(["rule", "--points", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "avgkernel: Could not determine home directory.\n"
 
 
 def test_check_constant_kernel_passes(cache_dir):

@@ -124,7 +124,7 @@ def test_golden_comparison_catches_changes(corpus_cache):
     args = ["converge", "--kernel", "SC", "--max-points", "60", "--format", "csv"]
     entry = GOLDEN_ENTRIES[CORPUS.index(args)]
     rc, stdout, stderr = run_in_process(args, corpus_cache)
-    slope = entry["fields"]["# C"][0]
+    slope = fields(stdout.encode("utf-8"))["# C"][0]
     nudged = stdout.replace(slope, repr(float(slope) * (1 + 1e-12)))
     assert compare(entry, rc, nudged, stderr) == []
     moved = stdout.replace(slope, repr(float(slope) * (1 + 1e-9)))

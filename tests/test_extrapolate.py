@@ -4,50 +4,55 @@ import pytest
 
 from avgkernel.average import AverageKernelResult
 from avgkernel.extrapolate import (
-    ConvergenceReport,
     DegenerateFitError,
     DivergentTailError,
+    Fit,
     error_sequence,
     fit_slope,
     fit_window,
     full_report,
     remainder_estimate,
 )
-from avgkernel.tensor_quad import ConvergenceSeries
 
 
 def power_law_series(k_max, exponent, base=0.0):
-    """Series whose successive differences are exactly n**exponent."""
+    """Series Q_1..Q_k_max whose successive differences are exactly n**exponent."""
     values = [base]
     for n in range(1, k_max):
         values.append(values[-1] + float(n) ** exponent)
-    return ConvergenceSeries(list(range(1, k_max + 1)), values, "synthetic")
+    return values
 
 
 def test_error_sequence_basic():
-    series = ConvergenceSeries([1, 2, 3], [0.0, 1.0, 1.5], "t")
-    assert error_sequence(series) == [(1, 1.0), (2, 0.5)]
+    assert error_sequence([0.0, 1.0, 1.5]) == [1.0, 0.5]
 
 
 def test_error_sequence_needs_two_points():
     with pytest.raises(ValueError):
-        error_sequence(ConvergenceSeries([1], [2.0], "t"))
+        error_sequence([2.0])
 
 
 def test_fit_slope_recovers_exact_power_law():
-    errors = [(n, 7.0 * n**-2.5) for n in range(1, 51)]
+    errors = [7.0 * n**-2.5 for n in range(1, 51)]
     assert fit_slope(errors, (5, 45)) == pytest.approx(-2.5, abs=1e-10)
 
 
+def test_fit_slope_reads_only_the_window():
+    # eps_n sits at index n-1: a window of orders 6..10 sees only the
+    # power law, not the entries around it
+    errors = [1.0] * 5 + [float(n) ** -3.0 for n in range(6, 11)] + [1.0] * 5
+    assert fit_slope(errors, (6, 10)) == pytest.approx(-3.0, abs=1e-12)
+
+
 def test_fit_slope_skips_zero_entries():
-    errors = [(n, 3.0 * n**-1.7) for n in range(1, 31)]
-    errors[9] = (10, 0.0)
+    errors = [3.0 * n**-1.7 for n in range(1, 31)]
+    errors[9] = 0.0
     assert fit_slope(errors, (2, 29)) == pytest.approx(-1.7, abs=1e-10)
 
 
 def test_fit_slope_degenerate_window():
     with pytest.raises(DegenerateFitError):
-        fit_slope([(1, 0.0), (2, 0.5), (3, 0.0)], (1, 3))
+        fit_slope([0.0, 0.5, 0.0], (1, 3))
 
 
 def test_remainder_estimate_reference_values():
@@ -99,67 +104,71 @@ def test_fit_window_defaults_to_upper_half():
         fit_window(40, (5, 40))
 
 
+@pytest.mark.parametrize("values, expected", [
+    (power_law_series(19, -2.0), Fit("short", None, None, None, None)),
+    ([3.25] * 25, Fit("exact", (13, 24), None, None, 0.0)),
+    (power_law_series(40, -2.0),
+     Fit("estimated", (20, 39), 39.0**-2.0, -2.0, remainder_estimate(39.0**-2.0, -2.0, 39))),
+    (power_law_series(40, -0.5), Fit("divergent", (20, 39), 39.0**-0.5, -0.5, None)),
+], ids=["short", "exact", "estimated", "divergent"])
+def test_full_report_decides_the_status(values, expected):
+    # full_report alone decides the status, for every length of series
+    fit = full_report(values)
+    assert (fit.status, fit.window) == (expected.status, expected.window)
+    numbers = (fit.anchor_error, fit.slope, fit.remainder)
+    assert numbers == pytest.approx(
+        (expected.anchor_error, expected.slope, expected.remainder), rel=1e-10)
+    if fit.status == "divergent":
+        assert fit.slope >= -1.0
+
+
 def test_full_report_recovers_power_law():
-    series = power_law_series(40, -2.0)
-    report = full_report(series)
-    assert isinstance(report, ConvergenceReport)
-    assert not report.exact
-    est = report.estimate
+    values = power_law_series(40, -2.0)
+    fit = full_report(values)
     # the default window is the upper half of the error orders, 20..39,
     # and the anchor the last of them
-    errors = error_sequence(series)
-    assert est.slope == fit_slope(errors, (20, 39))
-    assert errors[-1] == (39, est.anchor_error)
-    assert est.anchor_error == pytest.approx(39.0**-2.0, rel=1e-13)
-    assert est.slope == pytest.approx(-2.0, abs=1e-10)
-    assert est.remainder == pytest.approx(
-        remainder_estimate(est.anchor_error, est.slope, 39), rel=1e-13
-    )
-    assert report.remainder_value == est.remainder
-    assert report.final_value == series.values[-1]
+    errors = error_sequence(values)
+    assert fit.slope == fit_slope(errors, (20, 39))
+    assert len(errors) == 39
+    assert errors[-1] == fit.anchor_error
+    assert fit.remainder == remainder_estimate(fit.anchor_error, fit.slope, 39)
+
+
+def test_full_report_floor_keeps_fit_points():
+    # differences at or below 1e-10 of the series magnitude leave the fit
+    # as zeros do; the estimate stands while at most half the window is
+    # at the floor
+    values = power_law_series(40, -2.0, base=1e3)
+    for n in (22, 24, 26):
+        step = values[n] - values[n - 1] - 1e-9
+        values[n:] = [v - step for v in values[n:]]
+    errors = error_sequence(values)
+    assert [n for n, e in enumerate(errors, start=1) if 0.0 < e <= 1e-7] == [22, 24, 26]
+    assert fit_slope(errors, (20, 39)) > -1.0  # what fitting the floor would give
+    fit = full_report(values)
+    assert fit.status == "estimated"
+    assert fit.slope == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_full_report_scale_equivariance():
     base = power_law_series(40, -2.2)
-    doubled = ConvergenceSeries(base.orders, [2.0 * v for v in base.values], "x2")
     a = full_report(base)
-    b = full_report(doubled)
-    assert b.estimate.slope == pytest.approx(a.estimate.slope, abs=1e-12)
-    assert b.estimate.remainder == pytest.approx(2.0 * a.estimate.remainder, rel=1e-12)
-    assert b.final_value == pytest.approx(2.0 * a.final_value, rel=1e-15)
-
-
-def test_full_report_divergent_slope_has_no_estimate():
-    series = power_law_series(40, -0.5)
-    report = full_report(series)
-    assert not report.exact
-    assert report.estimate.slope == pytest.approx(-0.5, abs=1e-10)
-    assert report.estimate.remainder is None
-    assert report.remainder_value is None
-
-
-def test_full_report_constant_series_is_exact():
-    series = ConvergenceSeries(list(range(1, 26)), [3.25] * 25, "const")
-    report = full_report(series)
-    assert report.exact
-    assert report.estimate is None
-    assert report.remainder_value == 0.0
-    assert report.final_value == 3.25
+    b = full_report([2.0 * v for v in base])
+    assert b.slope == pytest.approx(a.slope, abs=1e-12)
+    assert b.remainder == pytest.approx(2.0 * a.remainder, rel=1e-12)
 
 
 def test_full_report_roundoff_noise_counts_as_exact():
     # jitter at 1e-13 around 5.0 is far below the 1e-10 relative floor
     values = [5.0 + (1e-13 if i % 2 else -1e-13) for i in range(30)]
-    report = full_report(ConvergenceSeries(list(range(1, 31)), values, "noise"))
-    assert report.exact
-    assert report.remainder_value == 0.0
+    fit = full_report(values)
+    assert fit.status == "exact"
+    assert fit.remainder == 0.0
 
 
 def test_full_report_plateau_after_convergence_is_exact():
     values = [1.0 + 2.0 ** -float(i) for i in range(1, 11)] + [1.0] * 20
-    series = ConvergenceSeries(list(range(1, 31)), values, "plateau")
-    report = full_report(series)
-    assert report.exact
+    assert full_report(values).status == "exact"
 
 
 def test_full_report_degenerate_window_raises():
@@ -167,37 +176,32 @@ def test_full_report_degenerate_window_raises():
     values[20] = values[19]  # one zero difference inside the window
     for i in range(21, 23):
         values[i] = values[i - 1] + 0.4
-    series = ConvergenceSeries(list(range(1, 24)), values, "sparse")
     with pytest.raises(DegenerateFitError):
-        full_report(series, (20, 21))
+        full_report(values, (20, 21))
 
 
 def test_full_report_validates_inputs():
-    short = power_law_series(10, -2.0)
-    with pytest.raises(ValueError):
-        full_report(short)
     series = power_law_series(30, -2.0)
     for window in ((0, 10), (5, 5), (12, 30), (25, 12)):
         with pytest.raises(ValueError):
             full_report(series, window)
 
 
-
 def test_report_scaled_halves_everything_linear():
-    # the p-scale view of a Q-scale report is the report times 0.5, exact
-    # in binary floating point
-    series = power_law_series(40, -2.0)
-    report = full_report(series)
-    half = AverageKernelResult("synthetic", 0.0, series, report)
-    assert half.p == 0.5 * report.final_value
-    assert half.remainder_value == 0.5 * report.estimate.remainder
-    # the report itself stays on the scale of Q
-    assert half.report == report
+    # the p-scale view of a Q-scale fit is the fit times 0.5, exact in
+    # binary floating point
+    values = power_law_series(40, -2.0)
+    fit = full_report(values)
+    half = AverageKernelResult("synthetic", 0.0, values, fit)
+    assert half.p == 0.5 * values[-1]
+    assert half.remainder_value == 0.5 * fit.remainder
+    # the fit itself stays on the scale of Q
+    assert half.fit == fit
 
 
 def test_report_scaled_keeps_exact_flag():
-    series = ConvergenceSeries(list(range(1, 26)), [2.0] * 25, "c")
-    half = AverageKernelResult("c", 0.0, series, full_report(series))
-    assert half.report.exact
+    values = [2.0] * 25
+    half = AverageKernelResult("c", 0.0, values, full_report(values))
+    assert half.fit.status == "exact"
     assert half.remainder_value == 0.0
     assert half.p == 1.0
