@@ -86,7 +86,7 @@ def mismatches(command, golden_fields, got_fields):
         atol = DIFFERENCE_RTOL * scale if name in ERRORS else 0.0
         for a, b in zip(old, new):
             x, y = number(a), number(b)
-            if a != b and (x is None or y is None or abs(y - x) > rtol * abs(x) + atol):
+            if a != b and (x is None or y is None or not abs(y - x) <= rtol * abs(x) + atol):
                 found.append(f"{name}: {a!r} -> {b!r}")
                 break
     return found
