@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
-"""Print one sha256 of standard output per CLI invocation of a corpus, or
-freeze the corpus's output as the golden that a tier-1 test holds it to.
+"""Freeze the CLI output of a corpus of invocations as the golden that a
+tier-1 test holds the package to.
 
-    python3 tests/stdout_corpus.py SRC > corpus.txt
     python3 tests/stdout_corpus.py --freeze SRC
 
 SRC is the `src` directory of an avgkernel checkout.  The corpus runs every
@@ -11,23 +10,19 @@ subcommand in csv and json: `rule` and `table3` once each, and `converge`,
 at order 60, on a fresh temporary rule cache; then `table3` once more with
 caching disabled, which builds every rule in the process; then, again in
 both formats, the invocations of EDGE_CASES, which reach the other
-statuses and exit codes and the largest rule order.  Each output line is
-"<sha256 of stdout> rc=<exit code> <arguments>", so the corpora of two
-checkouts, compared with diff, show every invocation whose output changed.
-A refactor that must keep stdout byte-identical runs it on both sides.
+statuses and exit codes and the largest rule order.
 
-With --freeze it writes tests/corpus_golden.json instead: for each
-invocation its arguments, exit code, standard error, standard output with
-every number replaced by 0 (compare_stdout.skeleton), and the printed
-fields with their numbers (compare_stdout.fields).  tests/test_corpus_golden.py
-runs the corpus in-process and compares against it.  A change that means
-to alter the output regenerates the golden, and the golden's diff shows
-what moved.
+It writes tests/corpus_golden.json: for each invocation its arguments,
+exit code, standard error, standard output with every number replaced by
+0 (compare_stdout.skeleton), and the printed fields with their numbers
+(golden_fields).  tests/test_corpus_golden.py runs the corpus in-process
+and compares against it, and tests/compare_stdout.py runs it against two
+checkouts.  A change that means to alter the output regenerates the
+golden, and the golden's diff shows what moved.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import subprocess
@@ -37,6 +32,7 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "corpus_golden.json"
 ORDER = "60"
+SAMPLE = 100
 KERNELS = (
     "FM", "CR", "SC", "SD",
     "(x^(-1/3)+y^(-1/3))*(x^(2/3)+y^(2/3))",
@@ -101,38 +97,44 @@ def shown(args: list[str]) -> str:
     return " ".join(arg or "''" for arg in args)
 
 
+def golden_fields(args: list[str], stdout: str) -> dict[str, list]:
+    """compare_stdout.fields of one output, as the golden holds them: a
+    json invocation keeps every SAMPLE-th value and the last of a field
+    longer than SAMPLE, since its csv twin holds every value and its text,
+    one 0 per number, holds their count."""
+    from compare_stdout import fields
+
+    found = fields(stdout.encode("utf-8"))
+    if "json" not in args:
+        return found
+    return {name: values[::SAMPLE] + values[-1:] if len(values) > SAMPLE else values
+            for name, values in found.items()}
+
+
 def record(args: list[str], rc: int, stdout: str, stderr: str) -> dict:
     """The golden entry of one invocation."""
-    from compare_stdout import fields, skeleton
+    from compare_stdout import skeleton
 
     return {"args": args, "rc": rc, "stderr": stderr,
-            "text": skeleton(stdout), "fields": fields(stdout.encode("utf-8"))}
+            "text": skeleton(stdout), "fields": golden_fields(args, stdout)}
 
 
 def main() -> int:
-    argv = sys.argv[1:]
-    freeze = argv[:1] == ["--freeze"]
-    argv = argv[freeze:]
-    if len(argv) != 1:
+    if len(sys.argv) != 3 or sys.argv[1] != "--freeze":
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    src = package_src(argv[0])
+    src = package_src(sys.argv[2])
     if src is None:
-        print(f"stdout_corpus: no avgkernel package under {argv[0]}", file=sys.stderr)
+        print(f"stdout_corpus: no avgkernel package under {sys.argv[2]}", file=sys.stderr)
         return 2
     golden = []
     with tempfile.TemporaryDirectory(prefix="avgkernel-corpus-") as cache:
         for args in invocations():
             proc = run(src, args, cache)
-            if freeze:
-                golden.append(record(args, proc.returncode, proc.stdout.decode("utf-8"),
-                                     proc.stderr.decode("utf-8")))
-                continue
-            digest = hashlib.sha256(proc.stdout).hexdigest()
-            print(f"{digest} rc={proc.returncode} {shown(args)}", flush=True)
-    if freeze:
-        GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
-        print(f"wrote {len(golden)} invocations to {GOLDEN}")
+            golden.append(record(args, proc.returncode, proc.stdout.decode("utf-8"),
+                                 proc.stderr.decode("utf-8")))
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(golden)} invocations to {GOLDEN}")
     return 0
 
 

@@ -21,7 +21,7 @@ import pytest
 
 from avgkernel import cli
 from compare_stdout import fields, skeleton
-from stdout_corpus import GOLDEN, invocations, shown
+from stdout_corpus import GOLDEN, SAMPLE, golden_fields, invocations, shown
 
 VALUE_RTOL = 5e-15
 SLOPE_RTOL = 2e-11
@@ -100,7 +100,7 @@ def compare(entry, rc, stdout, stderr):
     if skeleton(stdout) != entry["text"]:
         found.append("stdout text")
     return found + mismatches(entry["args"][0], entry["fields"],
-                              fields(stdout.encode("utf-8")))
+                              golden_fields(entry["args"], stdout))
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +133,16 @@ def test_golden_comparison_catches_changes(corpus_cache):
     assert compare(entry, rc, reworded, stderr) == ["stdout text"]
     assert compare(entry, 3, stdout, "avgkernel: failed\n") == [
         "exit code 0 -> 3", "stderr '' -> 'avgkernel: failed\\n'"]
+
+
+def test_json_samples_match_csv_twin():
+    # the json rule keeps every SAMPLE-th node and weight and the last;
+    # its csv twin, which holds them all, has the same numbers there
+    entries = {entry["args"][-1]: entry for entry in GOLDEN_ENTRIES
+               if entry["args"][:3] == ["rule", "--points", "2000"]}
+    csv = named("rule", entries["csv"]["fields"])
+    for name in ("nodes", "weights"):
+        sampled = entries["json"]["fields"][name]
+        full = [float(value) for value in csv[name]]
+        assert len(full) == 2000 and len(sampled) == 2000 // SAMPLE + 1
+        assert sampled == full[::SAMPLE] + full[-1:]

@@ -125,12 +125,15 @@ def test_full_report_decides_the_status(values, expected):
 def test_full_report_recovers_power_law():
     values = power_law_series(40, -2.0)
     fit = full_report(values)
+    assert fit.status == "estimated"
     # the default window is the upper half of the error orders, 20..39,
     # and the anchor the last of them
     errors = error_sequence(values)
     assert fit.slope == fit_slope(errors, (20, 39))
     assert len(errors) == 39
     assert errors[-1] == fit.anchor_error
+    assert fit.anchor_error == pytest.approx(39.0**-2.0, rel=1e-13)
+    assert fit.slope == pytest.approx(-2.0, abs=1e-10)
     assert fit.remainder == remainder_estimate(fit.anchor_error, fit.slope, 39)
 
 
