@@ -19,6 +19,7 @@ import numpy as np
 
 from .extrapolate import Fit, full_report
 from .kernels import KernelSpec, eval_kernel
+from .rules import QuadratureRule
 from .tensor_quad import convergence_series
 
 
@@ -51,15 +52,15 @@ class AverageKernelResult:
         return None if r is None else r / 2.0
 
 
-def pre_exponential_factor(spec: KernelSpec, k_max: int, cache_dir=None,
+def pre_exponential_factor(spec: KernelSpec, rules: list[QuadratureRule],
                            fit_window=None) -> AverageKernelResult:
-    """Run the kernel's convergence series and its fit; p is half the
-    final value.  Every command that prints a series, p or a remainder
-    runs this.
+    """Run the kernel's convergence series over rules (orders 1..k, from
+    load_rules) and its fit; p is half the final value.  Every command
+    that prints a series, p or a remainder runs this.
     """
     if spec.degree_q is None:
         raise ValueError("kernel has no homogeneity degree set")
-    values = convergence_series(lambda x, y: eval_kernel(spec, x, y), k_max, cache_dir)
+    values = convergence_series(lambda x, y: eval_kernel(spec, x, y), rules)
     return AverageKernelResult(spec.label, spec.degree_q, values,
                                full_report(values, fit_window))
 

@@ -17,6 +17,7 @@ from .average import average_kernel, population_average_oracle, pre_exponential_
 from .extrapolate import FIT_ORDERS, error_sequence, fit_window
 from .kernels import BUILTIN_IDS, builtin_kernel, parse_kernel
 from .rules import default_cache_dir, format_float, load_or_compute_rule
+from .tensor_quad import load_rules
 
 # The oracle evaluates the kernel at x and y scaled by u, so for a kernel of
 # the declared degree q its values at these u agree up to u^q.  They are
@@ -136,7 +137,8 @@ def cmd_rule(args, cache_dir) -> int:
 def cmd_converge(args, cache_dir) -> int:
     k_max = _order(args.max_points, "--max-points", 2)
     spec = _kernel(args)
-    result = pre_exponential_factor(spec, k_max, cache_dir, _fit_window(args, k_max))
+    window = _fit_window(args, k_max)
+    result = pre_exponential_factor(spec, load_rules(k_max, cache_dir), window)
     values, fit = result.values, result.fit
     eps = error_sequence(values)
 
@@ -173,7 +175,8 @@ def cmd_converge(args, cache_dir) -> int:
 def cmd_report(args, cache_dir) -> int:
     k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for report")
     spec = _kernel(args)
-    result = pre_exponential_factor(spec, k_max, cache_dir, _fit_window(args, k_max))
+    window = _fit_window(args, k_max)
+    result = pre_exponential_factor(spec, load_rules(k_max, cache_dir), window)
     fit, q_k = result.fit, result.values[-1]
     beta = _beta_display(result.p, result.q)
 
@@ -205,8 +208,9 @@ def cmd_table3(args, cache_dir) -> int:
     rows = []
     if args.format == "csv":
         _emit("# columns: type,p,q,beta_bar")
+    rules = load_rules(k_max, cache_dir)
     for kernel_id in BUILTIN_IDS:
-        result = pre_exponential_factor(builtin_kernel(kernel_id), k_max, cache_dir)
+        result = pre_exponential_factor(builtin_kernel(kernel_id), rules)
         beta = _beta_display(result.p, result.q)
         if args.format == "csv":
             _emit(kernel_id, result.p, result.q, beta)
@@ -219,7 +223,7 @@ def cmd_table3(args, cache_dir) -> int:
 def cmd_check(args, cache_dir) -> int:
     k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for check")
     spec = _kernel(args)
-    result = pre_exponential_factor(spec, k_max, cache_dir)
+    result = pre_exponential_factor(spec, load_rules(k_max, cache_dir))
     rem = result.remainder_value
     rows = []
     for u in _CHECK_U:

@@ -47,7 +47,7 @@ class QuadratureRule:
     """Order-k rule for the weight e^{-x} on [0, inf).
 
     The rules built here have read-only arrays: one rule object may be
-    shared by every caller in the process.
+    shared by every series run over it.
     """
 
     order: int

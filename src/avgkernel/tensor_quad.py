@@ -5,9 +5,8 @@ sum is contracted as w @ (vals @ w), so no k x k array beyond the kernel
 values and their finiteness mask is formed.  Its summation order is the
 BLAS library's, fixed for one library and CPU: repeated runs on one
 machine are bitwise identical, another BLAS build may differ in the last
-bits.  The series loads each rule once per process, so several kernels run
-over the same orders (as in table3) share one read or one build per order,
-and it builds all the orders missing from the cache in one batch.
+bits.  load_rules reads or builds the rules of orders 1..k once; every
+series run over those orders (table3's four kernels) shares that list.
 """
 
 from __future__ import annotations
@@ -46,41 +45,26 @@ def integrate_2d(rule: QuadratureRule, f) -> float:
     return float(w @ (vals @ w))
 
 
-# rules already loaded in this process, by (order, cache_dir)
-_LOADED: dict[tuple[int, object], QuadratureRule] = {}
+def load_rules(k_max: int, cache_dir) -> list[QuadratureRule]:
+    """The rules of orders 1..k_max, rule k at index k-1.
 
-
-def _shared_rules(k_max: int, cache_dir):
-    """Yield the rules of orders 1..k_max, each loaded once per (k, cache_dir) in this process.
-
-    Rules are read-only, so one object can serve every caller.  The memo
-    holds both arrays of every order loaded: 16 * (1 + ... + k_max) bytes,
-    about 1 MB for orders 1..361.  Orders neither loaded nor on disk are
-    built together by compute_rules first; then each order not yet loaded
-    goes through load_or_compute_rule when it is reached, which reads its
+    Orders with no cache file are built together by compute_rules first;
+    then every order goes through load_or_compute_rule, which reads its
     file or writes the rule just built.  The loader is looked up as a
-    module attribute at call time, so a wrapper set on it sees every real
-    load.
-    """
-    # a corrupt cache file is left to load_or_compute_rule to rebuild
-    uncached = [k for k in range(1, k_max + 1)
-                if (k, cache_dir) not in _LOADED and not has_cache_file(k, cache_dir)]
-    built = dict(zip(uncached, compute_rules(uncached)))
-    for k in range(1, k_max + 1):
-        if (k, cache_dir) not in _LOADED:
-            _LOADED[k, cache_dir] = load_or_compute_rule(k, cache_dir, built.pop(k, None))
-        yield _LOADED[k, cache_dir]
-
-
-def convergence_series(f, k_max: int, cache_dir=None) -> list[float]:
-    """Q_{k,k} for k = 1..k_max, all finite, Q_k at index k-1, from cached rules.
-
-    A rule loaded for an earlier call with the same cache_dir is reused.
+    module attribute at call time, so a wrapper set on it sees every load.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
+    # a corrupt cache file is left to load_or_compute_rule to rebuild
+    uncached = [k for k in range(1, k_max + 1) if not has_cache_file(k, cache_dir)]
+    built = dict(zip(uncached, compute_rules(uncached)))
+    return [load_or_compute_rule(k, cache_dir, built.get(k)) for k in range(1, k_max + 1)]
+
+
+def convergence_series(f, rules: list[QuadratureRule]) -> list[float]:
+    """Q_{k,k} for each rule, all finite, in the order of rules."""
     values = []
-    for rule in _shared_rules(k_max, cache_dir):
+    for rule in rules:
         try:
             q = integrate_2d(rule, f)
         except IntegrandError as exc:

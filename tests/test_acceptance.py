@@ -17,7 +17,7 @@ import pytest
 from avgkernel.extrapolate import fit_slope, full_report, remainder_estimate
 from avgkernel.kernels import builtin_kernel, eval_kernel, homogeneity_degree
 from avgkernel.rules import compute_rule, load_or_compute_rule
-from avgkernel.tensor_quad import convergence_series
+from avgkernel.tensor_quad import convergence_series, load_rules
 from support import euler_identity_residual
 
 KERNEL_IDS = ("FM", "CR", "SC", "SD")
@@ -61,10 +61,11 @@ TEN_POINT_WEIGHTS = [0.3084, 0.4011, 0.2180, 0.0620, 0.0095,
 @pytest.fixture(scope="module")
 def full_scale(cache_dir):
     start = time.perf_counter()
+    rules = load_rules(361, cache_dir)
     fits = {}
     for kid in KERNEL_IDS:
         spec = builtin_kernel(kid)
-        values = convergence_series(lambda x, y, s=spec: eval_kernel(s, x, y), 361, cache_dir)
+        values = convergence_series(lambda x, y, s=spec: eval_kernel(s, x, y), rules)
         fits[kid] = (values[-1], full_report(values))
     return fits, time.perf_counter() - start
 

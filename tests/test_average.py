@@ -14,11 +14,11 @@ from avgkernel.average import (
     population_average_oracle,
     pre_exponential_factor,
 )
-from avgkernel import average, tensor_quad
+from avgkernel import average
 from avgkernel.extrapolate import Fit, error_sequence, fit_slope, full_report
 from avgkernel.kernels import builtin_kernel, eval_kernel, parse_kernel
 from avgkernel.rules import load_or_compute_rule
-from avgkernel.tensor_quad import convergence_series, integrate_2d
+from avgkernel.tensor_quad import convergence_series, integrate_2d, load_rules
 from support import integrate_2d_full_grid
 
 # closed forms precomputed with a 50-digit library: 2 + 6*gamma(5/3)*gamma(4/3)
@@ -34,7 +34,7 @@ def result_with(p, q, fit=Fit("exact", (10, 19), None, None, 0.0)):
 
 def test_constant_kernel_averages_to_one(cache_dir):
     spec = parse_kernel("q=0; 2")
-    result = pre_exponential_factor(spec, 25, cache_dir)
+    result = pre_exponential_factor(spec, load_rules(25, cache_dir))
     assert result.p == pytest.approx(1.0, abs=1e-12)
     assert result.q == 0.0
     assert result.fit.status == "exact"
@@ -44,8 +44,9 @@ def test_constant_kernel_averages_to_one(cache_dir):
 
 def test_factor_is_half_the_report(cache_dir):
     spec = builtin_kernel("SC")
-    result = pre_exponential_factor(spec, 25, cache_dir)
-    values = convergence_series(lambda x, y: eval_kernel(spec, x, y), 25, cache_dir)
+    rules = load_rules(25, cache_dir)
+    result = pre_exponential_factor(spec, rules)
+    values = convergence_series(lambda x, y: eval_kernel(spec, x, y), rules)
     fit = full_report(values)
     assert result.values == values
     assert result.fit == fit
@@ -55,8 +56,9 @@ def test_factor_is_half_the_report(cache_dir):
 
 def test_factor_respects_fit_window(cache_dir):
     spec = builtin_kernel("CR")
-    a = pre_exponential_factor(spec, 30, cache_dir)
-    b = pre_exponential_factor(spec, 30, cache_dir, fit_window=(5, 20))
+    rules = load_rules(30, cache_dir)
+    a = pre_exponential_factor(spec, rules)
+    b = pre_exponential_factor(spec, rules, fit_window=(5, 20))
     errors = error_sequence(a.values)
     assert (a.fit.window, b.fit.window) == ((15, 29), (5, 20))
     assert a.fit.slope == fit_slope(errors, (15, 29))
@@ -67,33 +69,13 @@ def test_factor_respects_fit_window(cache_dir):
 
 def test_factor_validates_inputs(cache_dir):
     # a series too short for a fit gets none: p is Q_19 / 2, R unknown
-    short = pre_exponential_factor(builtin_kernel("SC"), 19, cache_dir)
+    short = pre_exponential_factor(builtin_kernel("SC"), load_rules(19, cache_dir))
     assert short.fit == Fit("short", None, None, None, None)
     assert short.p == short.values[18] / 2
     assert short.remainder_value is None
-    with pytest.raises(ValueError):
-        pre_exponential_factor(builtin_kernel("SC"), 1, cache_dir)
     spec = dataclasses.replace(builtin_kernel("SC"), degree_q=None)
     with pytest.raises(ValueError):
-        pre_exponential_factor(spec, 25, cache_dir)
-
-
-def test_kernels_share_one_load_per_order(tmp_path, monkeypatch):
-    loads = []
-    load = tensor_quad.load_or_compute_rule
-
-    def counted(k, cache_dir, built=None):
-        loads.append(k)
-        return load(k, cache_dir, built)
-
-    monkeypatch.setattr(tensor_quad, "load_or_compute_rule", counted)
-    # rules stay loaded for the process; forget those of earlier tests
-    tensor_quad._LOADED.clear()
-    for cache_dir in (str(tmp_path), ""):
-        loads.clear()
-        for kernel_id in ("FM", "CR", "SC", "SD"):
-            pre_exponential_factor(builtin_kernel(kernel_id), 25, cache_dir)
-        assert loads == list(range(1, 26)), cache_dir
+        pre_exponential_factor(spec, load_rules(25, cache_dir))
 
 
 def test_average_kernel_power_law():
@@ -310,7 +292,7 @@ def test_average_agrees_with_oracle_at_moderate_order(cache_dir):
     # the halved-quadrature result and the oracle must agree within the
     # oracle tolerance plus twice the remainder estimate
     spec = builtin_kernel("CR")
-    result = pre_exponential_factor(spec, 100, cache_dir)
+    result = pre_exponential_factor(spec, load_rules(100, cache_dir))
     for u in (0.5, 1.0, 2.0):
         oracle = population_average_oracle(spec, u)
         got = average_kernel(result, u)

@@ -1,4 +1,5 @@
 import ctypes
+import errno
 import json
 import os
 import subprocess
@@ -265,11 +266,68 @@ def test_table3_without_cache_builds_each_order_once(monkeypatch, capsys):
 
     monkeypatch.setattr(tensor_quad, "compute_rules", batch)
     monkeypatch.setattr(rules, "compute_rule", single)
-    # forget the rules earlier tests loaded in this process
-    monkeypatch.setattr(tensor_quad, "_LOADED", {})
     assert cli.main(["table3", "--max-points", "25", "--cache-dir", ""]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
     assert built == list(range(1, 26))
+
+
+def test_table3_loads_each_order_once(tmp_path, monkeypatch, capsys):
+    loads = []
+    load = tensor_quad.load_or_compute_rule
+
+    def counted(k, cache_dir, built=None):
+        loads.append(k)
+        return load(k, cache_dir, built)
+
+    monkeypatch.setattr(tensor_quad, "load_or_compute_rule", counted)
+    for cache_dir in (str(tmp_path), ""):
+        loads.clear()
+        assert cli.main(["table3", "--max-points", "25", "--cache-dir", cache_dir]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        assert loads == list(range(1, 26)), cache_dir
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table3_cache_dir_that_is_a_file_exits_3(fmt, tmp_path, capsys):
+    # the csv header is printed before the rules are loaded, and the first
+    # cache write fails once for all four kernels
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    argv = ["table3", "--max-points", "21", "--format", fmt, "--cache-dir", str(path)]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ("# columns: type,p,q,beta_bar\n" if fmt == "csv" else "")
+    assert captured.err == f"avgkernel: {FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))}\n"
+
+
+def test_cache_corrupted_between_runs_is_rebuilt(tmp_path, capsys):
+    # each command reads the cache afresh, so a file damaged after one run
+    # is rebuilt by the next run in the same process
+    argv = ["converge", "--kernel", "SC", "--max-points", "21", "--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    path = tmp_path / "glq_5.csv"
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(rules._CorruptCache):
+        rules._parse_cache_text(path.read_text(encoding="ascii"), 5)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert rules._parse_cache_text(path.read_text(encoding="ascii"), 5).order == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--kernel", "SC", "--max-points", "60", "--fit-window", "20:5"],
+    ["report", "--kernel", "x y"],
+    ["check", "--kernel", "x + y + 1"],
+], ids=lambda argv: argv[0])
+def test_rejected_arguments_write_no_cache(argv, tmp_path, capsys):
+    # arguments are checked before any rule is built or written
+    cache = tmp_path / "cache"
+    assert cli.main([*argv, "--cache-dir", str(cache)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not cache.exists()
 
 
 def test_unresolvable_cache_dir_exits_3(monkeypatch, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from avgkernel.kernels import builtin_kernel, eval_kernel
 from avgkernel.rules import load_or_compute_rule
-from avgkernel.tensor_quad import IntegrandError, convergence_series, integrate_2d
+from avgkernel.tensor_quad import IntegrandError, convergence_series, integrate_2d, load_rules
 
 
 def test_constant_1d(cache_dir):
@@ -120,7 +120,9 @@ def test_contraction_within_rounding_of_exact_sum(kernel, cache_dir):
 
 
 def test_series_structure(cache_dir):
-    values = convergence_series(lambda x, y: x * y, 6, cache_dir)
+    rules = load_rules(6, cache_dir)
+    assert [rule.order for rule in rules] == [1, 2, 3, 4, 5, 6]
+    values = convergence_series(lambda x, y: x * y, rules)
     assert len(values) == 6
     assert all(math.isfinite(v) for v in values)
     # x*y is integrated exactly from order 1 on
@@ -130,9 +132,9 @@ def test_series_structure(cache_dir):
     assert values[4] == integrate_2d(rule5, lambda x, y: x * y)
 
 
-def test_series_rejects_short_run(cache_dir):
+def test_load_rules_rejects_short_run(cache_dir):
     with pytest.raises(ValueError):
-        convergence_series(lambda x, y: x, 1, cache_dir)
+        load_rules(1, cache_dir)
 
 
 def test_series_names_failing_order(cache_dir):
@@ -142,4 +144,4 @@ def test_series_names_failing_order(cache_dir):
         return np.ones_like(x)
 
     with pytest.raises(IntegrandError, match="^order 3:"):
-        convergence_series(f, 5, cache_dir)
+        convergence_series(f, load_rules(5, cache_dir))
