@@ -16,7 +16,7 @@ from fractions import Fraction
 from .average import average_kernel, population_average_oracle, pre_exponential_factor
 from .extrapolate import FIT_ORDERS, error_sequence, fit_window
 from .kernels import BUILTIN_IDS, builtin_kernel, parse_kernel
-from .rules import default_cache_dir, format_float, load_or_compute_rule
+from .rules import default_cache_dir, format_float
 from .tensor_quad import load_rules
 
 # The oracle evaluates the kernel at x and y scaled by u, so for a kernel of
@@ -121,7 +121,7 @@ def _ii(q: float, fit) -> str:
 
 
 def cmd_rule(args, cache_dir) -> int:
-    rule = load_or_compute_rule(_order(args.points, "--points", 1), cache_dir)
+    rule = load_rules([_order(args.points, "--points", 1)], cache_dir)[0]
     if args.format == "json":
         _emit(json.dumps({
             "order": rule.order,
@@ -138,7 +138,7 @@ def cmd_converge(args, cache_dir) -> int:
     k_max = _order(args.max_points, "--max-points", 2)
     spec = _kernel(args)
     window = _fit_window(args, k_max)
-    result = pre_exponential_factor(spec, load_rules(k_max, cache_dir), window)
+    result = pre_exponential_factor(spec, load_rules(range(1, k_max + 1), cache_dir), window)
     values, fit = result.values, result.fit
     eps = error_sequence(values)
 
@@ -176,7 +176,7 @@ def cmd_report(args, cache_dir) -> int:
     k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for report")
     spec = _kernel(args)
     window = _fit_window(args, k_max)
-    result = pre_exponential_factor(spec, load_rules(k_max, cache_dir), window)
+    result = pre_exponential_factor(spec, load_rules(range(1, k_max + 1), cache_dir), window)
     fit, q_k = result.fit, result.values[-1]
     beta = _beta_display(result.p, result.q)
 
@@ -208,7 +208,7 @@ def cmd_table3(args, cache_dir) -> int:
     rows = []
     if args.format == "csv":
         _emit("# columns: type,p,q,beta_bar")
-    rules = load_rules(k_max, cache_dir)
+    rules = load_rules([k_max], cache_dir)  # p = Q_k/2 needs rule k alone
     for kernel_id in BUILTIN_IDS:
         result = pre_exponential_factor(builtin_kernel(kernel_id), rules)
         beta = _beta_display(result.p, result.q)
@@ -223,7 +223,7 @@ def cmd_table3(args, cache_dir) -> int:
 def cmd_check(args, cache_dir) -> int:
     k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for check")
     spec = _kernel(args)
-    result = pre_exponential_factor(spec, load_rules(k_max, cache_dir))
+    result = pre_exponential_factor(spec, load_rules(range(1, k_max + 1), cache_dir))
     rem = result.remainder_value
     rows = []
     for u in _CHECK_U:

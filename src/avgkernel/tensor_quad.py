@@ -5,8 +5,8 @@ sum is contracted as w @ (vals @ w), so no k x k array beyond the kernel
 values and their finiteness mask is formed.  Its summation order is the
 BLAS library's, fixed for one library and CPU: repeated runs on one
 machine are bitwise identical, another BLAS build may differ in the last
-bits.  load_rules reads or builds the rules of orders 1..k once; every
-series run over those orders (table3's four kernels) shares that list.
+bits.  load_rules reads or builds once the rules of the orders a command
+sums: orders 1..k for a series, order k alone for table3's four kernels.
 """
 
 from __future__ import annotations
@@ -45,20 +45,20 @@ def integrate_2d(rule: QuadratureRule, f) -> float:
     return float(w @ (vals @ w))
 
 
-def load_rules(k_max: int, cache_dir) -> list[QuadratureRule]:
-    """The rules of orders 1..k_max, rule k at index k-1.
+def load_rules(orders, cache_dir) -> list[QuadratureRule]:
+    """The rules of orders, a list or range of orders, in their order.
 
     Orders with no cache file are built together by compute_rules first;
     then every order goes through load_or_compute_rule, which reads its
     file or writes the rule just built.  The loader is looked up as a
     module attribute at call time, so a wrapper set on it sees every load.
     """
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+    if not orders:
+        raise ValueError("no rule orders to load")
     # a corrupt cache file is left to load_or_compute_rule to rebuild
-    uncached = [k for k in range(1, k_max + 1) if not has_cache_file(k, cache_dir)]
+    uncached = [k for k in orders if not has_cache_file(k, cache_dir)]
     built = dict(zip(uncached, compute_rules(uncached)))
-    return [load_or_compute_rule(k, cache_dir, built.get(k)) for k in range(1, k_max + 1)]
+    return [load_or_compute_rule(k, cache_dir, built.get(k)) for k in orders]
 
 
 def convergence_series(f, rules: list[QuadratureRule]) -> list[float]:

@@ -8,9 +8,10 @@ SRC is the `src` directory of an avgkernel checkout.  The corpus runs every
 subcommand in csv and json: `rule` and `table3` once each, and `converge`,
 `report` and `check` for the four builtins and two expression kernels, all
 at order 60, on a fresh temporary rule cache; then `table3` once more with
-caching disabled, which builds every rule in the process; then, again in
-both formats, the invocations of EDGE_CASES, which reach the other
-statuses and exit codes and the largest rule order.
+caching disabled, which builds its one rule of order 60 in the process;
+then, again in both formats, the invocations of EDGE_CASES, which reach
+the other statuses and exit codes, the largest rule order and the paper's
+Table 3 at its default order: 78 invocations in all.
 
 It writes tests/corpus_golden.json: for each invocation its arguments,
 exit code, standard error, standard output with every number replaced by
@@ -42,10 +43,12 @@ KERNELS = (
 # kernel integrated exactly (exact), one whose fitted slope allows no
 # remainder (divergent, and an oracle overflow: exit 3), a kernel with a
 # wrong declared degree (exit 1), rejected arguments (exit 2), among them
-# a degree that is not finite, and the rule of the largest order accepted,
-# the only one whose build rescales the recurrence's terms.
+# a degree that is not finite, the rule of the largest order accepted,
+# the only one whose build rescales the recurrence's terms, and table3 at
+# its default order 361.
 EDGE_CASES = (
     ["rule", "--points", "2000"],
+    ["table3"],
     ["converge", "--kernel", "SC", "--max-points", "10"],
     ["converge", "--kernel", "SC", "--max-points", ORDER, "--fit-window", "5:20"],
     ["report", "--kernel", "SC", "--max-points", ORDER, "--fit-window", "5:20"],

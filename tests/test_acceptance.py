@@ -61,7 +61,7 @@ TEN_POINT_WEIGHTS = [0.3084, 0.4011, 0.2180, 0.0620, 0.0095,
 @pytest.fixture(scope="module")
 def full_scale(cache_dir):
     start = time.perf_counter()
-    rules = load_rules(361, cache_dir)
+    rules = load_rules(range(1, 362), cache_dir)
     fits = {}
     for kid in KERNEL_IDS:
         spec = builtin_kernel(kid)

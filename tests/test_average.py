@@ -34,7 +34,7 @@ def result_with(p, q, fit=Fit("exact", (10, 19), None, None, 0.0)):
 
 def test_constant_kernel_averages_to_one(cache_dir):
     spec = parse_kernel("q=0; 2")
-    result = pre_exponential_factor(spec, load_rules(25, cache_dir))
+    result = pre_exponential_factor(spec, load_rules(range(1, 26), cache_dir))
     assert result.p == pytest.approx(1.0, abs=1e-12)
     assert result.q == 0.0
     assert result.fit.status == "exact"
@@ -44,7 +44,7 @@ def test_constant_kernel_averages_to_one(cache_dir):
 
 def test_factor_is_half_the_report(cache_dir):
     spec = builtin_kernel("SC")
-    rules = load_rules(25, cache_dir)
+    rules = load_rules(range(1, 26), cache_dir)
     result = pre_exponential_factor(spec, rules)
     values = convergence_series(lambda x, y: eval_kernel(spec, x, y), rules)
     fit = full_report(values)
@@ -56,7 +56,7 @@ def test_factor_is_half_the_report(cache_dir):
 
 def test_factor_respects_fit_window(cache_dir):
     spec = builtin_kernel("CR")
-    rules = load_rules(30, cache_dir)
+    rules = load_rules(range(1, 31), cache_dir)
     a = pre_exponential_factor(spec, rules)
     b = pre_exponential_factor(spec, rules, fit_window=(5, 20))
     errors = error_sequence(a.values)
@@ -69,13 +69,13 @@ def test_factor_respects_fit_window(cache_dir):
 
 def test_factor_validates_inputs(cache_dir):
     # a series too short for a fit gets none: p is Q_19 / 2, R unknown
-    short = pre_exponential_factor(builtin_kernel("SC"), load_rules(19, cache_dir))
+    short = pre_exponential_factor(builtin_kernel("SC"), load_rules(range(1, 20), cache_dir))
     assert short.fit == Fit("short", None, None, None, None)
     assert short.p == short.values[18] / 2
     assert short.remainder_value is None
     spec = dataclasses.replace(builtin_kernel("SC"), degree_q=None)
     with pytest.raises(ValueError):
-        pre_exponential_factor(spec, load_rules(25, cache_dir))
+        pre_exponential_factor(spec, load_rules(range(1, 26), cache_dir))
 
 
 def test_average_kernel_power_law():
@@ -292,7 +292,7 @@ def test_average_agrees_with_oracle_at_moderate_order(cache_dir):
     # the halved-quadrature result and the oracle must agree within the
     # oracle tolerance plus twice the remainder estimate
     spec = builtin_kernel("CR")
-    result = pre_exponential_factor(spec, load_rules(100, cache_dir))
+    result = pre_exponential_factor(spec, load_rules(range(1, 101), cache_dir))
     for u in (0.5, 1.0, 2.0):
         oracle = population_average_oracle(spec, u)
         got = average_kernel(result, u)

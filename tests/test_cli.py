@@ -243,7 +243,7 @@ def test_table3_failure_keeps_completed_rows(fmt, cache_dir, monkeypatch, capsys
     argv = ["table3", "--max-points", "21", "--format", fmt, "--cache-dir", cache_dir]
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith("avgkernel: order 1: integrand is nan")
+    assert captured.err.startswith("avgkernel: order 21: integrand is nan")
     if fmt == "json":
         assert captured.out == ""
     else:
@@ -268,7 +268,8 @@ def test_table3_without_cache_builds_each_order_once(monkeypatch, capsys):
     monkeypatch.setattr(rules, "compute_rule", single)
     assert cli.main(["table3", "--max-points", "25", "--cache-dir", ""]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
-    assert built == list(range(1, 26))
+    # p = Q_k/2 needs rule k alone
+    assert built == [25]
 
 
 def test_table3_loads_each_order_once(tmp_path, monkeypatch, capsys):
@@ -284,7 +285,21 @@ def test_table3_loads_each_order_once(tmp_path, monkeypatch, capsys):
         loads.clear()
         assert cli.main(["table3", "--max-points", "25", "--cache-dir", cache_dir]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 5
-        assert loads == list(range(1, 26)), cache_dir
+        assert loads == [25], cache_dir
+    assert [path.name for path in tmp_path.iterdir()] == ["glq_25.csv"]
+
+
+@pytest.mark.parametrize("k_max", ["21", "60"])
+def test_table3_p_is_the_series_p(k_max, capsys):
+    # table3 sums order k alone; its p is bitwise the p of the full series
+    # 1..k that report runs, each with every rule built afresh
+    argv = ["--max-points", k_max, "--format", "json", "--cache-dir", ""]
+    assert cli.main(["table3", *argv]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["type"] for row in rows] == ["FM", "CR", "SC", "SD"]
+    for row in rows:
+        assert cli.main(["report", "--kernel", row["type"], *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["p"] == row["p"], row["type"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -120,7 +120,7 @@ def test_contraction_within_rounding_of_exact_sum(kernel, cache_dir):
 
 
 def test_series_structure(cache_dir):
-    rules = load_rules(6, cache_dir)
+    rules = load_rules(range(1, 7), cache_dir)
     assert [rule.order for rule in rules] == [1, 2, 3, 4, 5, 6]
     values = convergence_series(lambda x, y: x * y, rules)
     assert len(values) == 6
@@ -133,8 +133,15 @@ def test_series_structure(cache_dir):
 
 
 def test_load_rules_rejects_short_run(cache_dir):
-    with pytest.raises(ValueError):
-        load_rules(1, cache_dir)
+    for orders in ([], range(1, 1)):
+        with pytest.raises(ValueError):
+            load_rules(orders, cache_dir)
+
+
+def test_load_rules_keeps_the_given_orders(tmp_path):
+    rules = load_rules([6, 3], tmp_path)
+    assert [rule.order for rule in rules] == [6, 3]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["glq_3.csv", "glq_6.csv"]
 
 
 def test_series_names_failing_order(cache_dir):
@@ -144,4 +151,4 @@ def test_series_names_failing_order(cache_dir):
         return np.ones_like(x)
 
     with pytest.raises(IntegrandError, match="^order 3:"):
-        convergence_series(f, load_rules(5, cache_dir))
+        convergence_series(f, load_rules(range(1, 6), cache_dir))
