@@ -30,9 +30,8 @@ class ResolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class AverageKernelResult:
-    """One kernel through the pipeline: its series over the rules given
-    (Q_k, of the last rule, last), the fit of that series on the scale of
-    Q, and q, so that the average kernel is p*u^q with p = Q_k/2.
+    """One kernel through the pipeline: its series (Q_k, of the last rule,
+    last), its fit on the scale of Q, and q: the average is p*u^q, p = Q_k/2.
     """
 
     kernel_id: str
@@ -54,9 +53,9 @@ class AverageKernelResult:
 
 def pre_exponential_factor(spec: KernelSpec, rules: list[QuadratureRule],
                            fit_window=None) -> AverageKernelResult:
-    """Run the kernel's convergence series over rules (from load_rules,
-    orders 1..k, or order k alone for p) and its fit; p is half the final
-    value.  Every command that prints a series, p or a remainder runs this.
+    """Run the kernel's convergence series over rules (from load_rules)
+    and its fit; p is half the value of the last rule.  Every command that
+    prints a series, p or a remainder runs this.
     """
     if spec.degree_q is None:
         raise ValueError("kernel has no homogeneity degree set")

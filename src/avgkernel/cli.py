@@ -208,7 +208,8 @@ def cmd_table3(args, cache_dir) -> int:
     rows = []
     if args.format == "csv":
         _emit("# columns: type,p,q,beta_bar")
-    rules = load_rules([k_max], cache_dir)  # p = Q_k/2 needs rule k alone
+    # p = Q_k/2 needs rule k alone; 1..k still load, to check and fill the cache
+    rules = load_rules(range(1, k_max + 1), cache_dir)[-1:]
     for kernel_id in BUILTIN_IDS:
         result = pre_exponential_factor(builtin_kernel(kernel_id), rules)
         beta = _beta_display(result.p, result.q)

@@ -5,8 +5,8 @@ sum is contracted as w @ (vals @ w), so no k x k array beyond the kernel
 values and their finiteness mask is formed.  Its summation order is the
 BLAS library's, fixed for one library and CPU: repeated runs on one
 machine are bitwise identical, another BLAS build may differ in the last
-bits.  load_rules reads or builds once the rules of the orders a command
-sums: orders 1..k for a series, order k alone for table3's four kernels.
+bits.  load_rules reads or builds the rules of the orders given, once
+each, and every series a command runs over them shares that list.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ SRC is the `src` directory of an avgkernel checkout.  The corpus runs every
 subcommand in csv and json: `rule` and `table3` once each, and `converge`,
 `report` and `check` for the four builtins and two expression kernels, all
 at order 60, on a fresh temporary rule cache; then `table3` once more with
-caching disabled, which builds its one rule of order 60 in the process;
+caching disabled, which builds every rule in the process;
 then, again in both formats, the invocations of EDGE_CASES, which reach
 the other statuses and exit codes, the largest rule order and the paper's
 Table 3 at its default order: 78 invocations in all.

@@ -268,8 +268,7 @@ def test_table3_without_cache_builds_each_order_once(monkeypatch, capsys):
     monkeypatch.setattr(rules, "compute_rule", single)
     assert cli.main(["table3", "--max-points", "25", "--cache-dir", ""]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
-    # p = Q_k/2 needs rule k alone
-    assert built == [25]
+    assert built == list(range(1, 26))
 
 
 def test_table3_loads_each_order_once(tmp_path, monkeypatch, capsys):
@@ -285,8 +284,10 @@ def test_table3_loads_each_order_once(tmp_path, monkeypatch, capsys):
         loads.clear()
         assert cli.main(["table3", "--max-points", "25", "--cache-dir", cache_dir]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 5
-        assert loads == [25], cache_dir
-    assert [path.name for path in tmp_path.iterdir()] == ["glq_25.csv"]
+        assert loads == list(range(1, 26)), cache_dir
+    # table3 sums order 25 alone, but leaves every order 1..25 cached
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"glq_{k}.csv" for k in range(1, 26))
 
 
 @pytest.mark.parametrize("k_max", ["21", "60"])
