@@ -16,7 +16,7 @@ from fractions import Fraction
 from .average import average_kernel, population_average_oracle, pre_exponential_factor
 from .extrapolate import FIT_ORDERS, error_sequence, fit_window
 from .kernels import BUILTIN_IDS, builtin_kernel, parse_kernel
-from .rules import default_cache_dir, format_float
+from .rules import default_cache_dir
 from .tensor_quad import load_rules
 
 # The oracle evaluates the kernel at x and y scaled by u, so for a kernel of
@@ -91,6 +91,14 @@ def _fit_window(args, k_max: int) -> tuple[int, int] | None:
         raise ValueError(f"--fit-window needs --max-points >= {FIT_ORDERS}"
                          " (a remainder fit takes at least that many orders)")
     return (a, b)
+
+
+def format_float(v: float) -> str:
+    """17 significant digits, lowercase scientific, compact exponent."""
+    mant, _, exp = f"{v:.16e}".partition("e")
+    sign = "-" if exp.startswith("-") else ""
+    digits = exp.lstrip("+-").lstrip("0") or "0"
+    return f"{mant}e{sign}{digits}"
 
 
 def _emit(*cells) -> None:

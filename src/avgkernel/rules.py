@@ -8,8 +8,8 @@ whole group, each node stopping at its own order; compute_rule is a group
 of one.  A node stops when its Newton step reaches the rounding noise or
 stalls; a group whose nodes are not all converged, or not spaced like
 their seeds, raises ConvergenceError.  The weights come from L_k'
-at the same degree.  Rules are cached on disk as one checksummed CSV per
-order.
+at the same degree.  Rules are cached on disk as one checksummed file per
+order, whose rows hold each node's and weight's IEEE-754 bits in hex.
 """
 
 from __future__ import annotations
@@ -28,10 +28,12 @@ from .laguerre import _recurrence_scaled
 
 _MIN_NORMAL = sys.float_info.min
 
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _HEADER_RE = re.compile(
     rf"# gauss-laguerre order=(\d+) flushed=(\d+) version={_FORMAT_VERSION}$")
 _CHECKSUM_MARKER = "# sha256="
+# a cache row: 16 hex digits, a comma, 16 hex digits and a newline
+_ROW_LEN = 34
 
 
 class ConvergenceError(RuntimeError):
@@ -206,20 +208,14 @@ def compute_rule(k: int) -> QuadratureRule:
     return compute_rules([k])[0]
 
 
-def format_float(v: float) -> str:
-    """17 significant digits, lowercase scientific, compact exponent."""
-    mant, _, exp = f"{v:.16e}".partition("e")
-    sign = "-" if exp.startswith("-") else ""
-    digits = exp.lstrip("+-").lstrip("0") or "0"
-    return f"{mant}e{sign}{digits}"
-
-
 def _serialize_rule(rule: QuadratureRule) -> str:
     flushed = int(np.count_nonzero(rule.weights == 0.0))
-    lines = [f"# gauss-laguerre order={rule.order} flushed={flushed} version={_FORMAT_VERSION}"]
-    for x, a in zip(rule.nodes, rule.weights):
-        lines.append(f"{format_float(x)},{format_float(a)}")
-    body = "\n".join(lines) + "\n"
+    # one row per node: the big-endian bits of the node and of its weight
+    bits = np.column_stack([rule.nodes, rule.weights]).astype(">f8").tobytes()
+    rows = bytearray(bits.hex(",", 8).encode("ascii") + b",")
+    rows[_ROW_LEN - 1::_ROW_LEN] = b"\n" * rule.order
+    body = (f"# gauss-laguerre order={rule.order} flushed={flushed} version={_FORMAT_VERSION}\n"
+            + rows.decode("ascii"))
     digest = hashlib.sha256(body.encode("ascii")).hexdigest()
     return f"{body}{_CHECKSUM_MARKER}{digest}\n"
 
@@ -232,24 +228,20 @@ def _parse_cache_text(text: str, k: int) -> QuadratureRule:
     claimed = text[pos + len(_CHECKSUM_MARKER):].strip()
     if hashlib.sha256(body.encode("ascii", "replace")).hexdigest() != claimed:
         raise _CorruptCache("checksum mismatch")
-    lines = body.splitlines()
-    if not lines:
-        raise _CorruptCache("empty body")
-    m = _HEADER_RE.match(lines[0])
+    header, _, rows = body.partition("\n")
+    m = _HEADER_RE.match(header)
     if m is None or int(m.group(1)) != k:
         raise _CorruptCache("bad header")
-    if len(lines) != k + 1:
-        raise _CorruptCache("wrong row count")
+    if (len(rows) != _ROW_LEN * k or rows[16::_ROW_LEN] != "," * k
+            or rows[_ROW_LEN - 1::_ROW_LEN] != "\n" * k):
+        raise _CorruptCache("bad rows: not two 16-digit fields per line")
     try:
-        # one C-level conversion of every row; no line is a comment
-        rows = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        # fromhex skips whitespace: a blank inside a field fails the reshape
+        pairs = np.frombuffer(bytes.fromhex(rows.replace(",", "")), ">f8").reshape(k, 2)
     except ValueError as exc:
         raise _CorruptCache(f"bad row: {exc}") from exc
-    # loadtxt skips blank lines
-    if rows.shape != (k, 2):
-        raise _CorruptCache("bad row: not two fields per line")
-    # each column in an array of its own, allocated as a one-order build's are
-    nodes, weights = rows[:, 0].copy(), rows[:, 1].copy()
+    # each column in a native array of its own, allocated as a one-order build's are
+    nodes, weights = pairs[:, 0].astype(np.float64), pairs[:, 1].astype(np.float64)
     if int(m.group(2)) != int(np.count_nonzero(weights == 0.0)):
         raise _CorruptCache("flushed count mismatch")
     problem = _invariant_problem(k, nodes, weights)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import sys
 from pathlib import Path
 
@@ -9,23 +10,40 @@ import numpy as np
 import pytest
 
 from avgkernel import rules
+from avgkernel.cli import format_float
 from avgkernel.rules import (
     ConvergenceError,
     QuadratureRule,
     compute_rule,
     compute_rules,
     default_cache_dir,
-    format_float,
     load_or_compute_rule,
 )
 
-# sha256 of the cache files that compute_rules wrote for these orders when
-# its weights were first taken from L_k' (cache format version 3)
-FROZEN_FILE_SHA256 = {
-    10: "d86e162ad76d19a0c27429d63e02502cacb5505f16afae19cc355a6932052aeb",
-    120: "38e7478c2097adef044276ffc0e22ba70fbbbe6f39d9b6e1aaa3ce837bb7c2d8",
-    361: "fcbb9f9dca1aacbe3b7b06ffe1d9771c3ca5dde68b1b3fa4ca61020048079a67",
+# sha256 of the little-endian bytes of the nodes and of the weights that
+# compute_rules built for these orders when its weights were first taken
+# from L_k' (the rules of cache format version 3, bitwise unchanged since)
+FROZEN_RULE_SHA256 = {
+    10: ("f693c427b0aea5626f2fd54e90d9374af31bada14888d32da921e5e919f83907",
+         "e98256ead14d21edb5a16ae9d005c10784ccf119fd82a88095d16bccc8ad5acf"),
+    120: ("3162b865bfca4a44d2286857c560e3865c078701f222ce7de992430290350c70",
+          "55c374f1d77d90c268f68e4d865bcd21e92e9581c0cb1d2d3075f72c650ae619"),
+    361: ("66ab6b2f5df66b5e140ce79cec4b5f787d66729441c7431a066f69216c6b89c2",
+          "f4ca01d85ef42488ff0de3dfa85c0d1610127a4675ff4e9f0e65ece2bc7d2d84"),
 }
+# sha256 of the cache files (format version 4) of the same rules
+FROZEN_FILE_SHA256 = {
+    10: "d1f538f75bf46ab770c824a7bb73ce59fbb281d1f25044e0a2d595c950e92a68",
+    120: "8679f9d91de1b5686519b9517f63c29d5dc6a133850f0d19298e6bab7c3f3229",
+    361: "351ddd062e91adc91e001420a98502f24df6d51f5ed357ae966feaa59417c8ab",
+}
+# the order-2 cache file as format version 3 wrote it, in decimal
+VERSION_3_ORDER_2 = (
+    "# gauss-laguerre order=2 flushed=0 version=3\n"
+    "5.8578643762690497e-1,8.5355339059327362e-1\n"
+    "3.4142135623730949e0,1.4644660940672624e-1\n"
+    "# sha256=c125dd6f6213f083205fc8a2e46619c9a98547f134422dbe9d65c2c567789e2b\n"
+)
 
 # ten-point reference values, nodes and leading weights truncated to four
 # decimals, trailing weights to two significant figures
@@ -185,6 +203,15 @@ def test_unconverged_or_doubled_zeros_raise(monkeypatch):
         compute_rule(30)
 
 
+def _to_bits(v: float) -> str:
+    """A cache field: the big-endian IEEE-754 bits of v in hex."""
+    return struct.pack(">d", v).hex()
+
+
+def _from_bits(field: str) -> float:
+    return struct.unpack(">d", bytes.fromhex(field))[0]
+
+
 def _same_rule(a, b):
     return (a.order == b.order and a.nodes.tobytes() == b.nodes.tobytes()
             and a.weights.tobytes() == b.weights.tobytes())
@@ -223,6 +250,9 @@ def test_batches_stay_within_the_node_bound(monkeypatch):
 def test_cache_files_match_frozen_digests(tmp_path):
     for rule in compute_rules(FROZEN_FILE_SHA256):
         k = rule.order
+        digests = tuple(hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+                        for values in (rule.nodes, rule.weights))
+        assert digests == FROZEN_RULE_SHA256[k], k
         load_or_compute_rule(k, tmp_path, rule)
         data = (tmp_path / f"glq_{k}.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == FROZEN_FILE_SHA256[k], k
@@ -252,6 +282,18 @@ def test_format_float_layout():
     assert float(format_float(v)) == v
 
 
+def test_cache_round_trip_is_bitwise_up_to_order_400(tmp_path):
+    built = compute_rules(range(1, 401))
+    # the flushed zero weights are written and read back too
+    assert any(np.any(rule.weights == 0.0) for rule in built)
+    for rule in built:
+        load_or_compute_rule(rule.order, tmp_path, rule)
+    for rule in built:
+        loaded = load_or_compute_rule(rule.order, tmp_path)
+        assert _same_rule(loaded, rule), rule.order
+        assert loaded.nodes.dtype == loaded.weights.dtype == np.float64
+
+
 def test_cache_round_trip(tmp_path):
     first = load_or_compute_rule(12, tmp_path)
     path = tmp_path / "glq_12.csv"
@@ -271,14 +313,14 @@ def test_rules_are_read_only(tmp_path):
 
 
 def test_cache_file_layout(tmp_path):
-    load_or_compute_rule(3, tmp_path)
+    rule = load_or_compute_rule(3, tmp_path)
     lines = (tmp_path / "glq_3.csv").read_text().splitlines()
-    assert lines[0] == "# gauss-laguerre order=3 flushed=0 version=3"
+    assert lines[0] == "# gauss-laguerre order=3 flushed=0 version=4"
     assert len(lines) == 5
     assert lines[-1].startswith("# sha256=")
-    for row in lines[1:4]:
-        x, w = row.split(",")
-        float(x), float(w)
+    for row, x, w in zip(lines[1:4], rule.nodes, rule.weights):
+        # the big-endian IEEE-754 bits of the node and of its weight
+        assert row == f"{_to_bits(x)},{_to_bits(w)}"
 
 
 def test_version_1_cache_file_is_rebuilt(tmp_path, monkeypatch):
@@ -294,14 +336,26 @@ def test_version_1_cache_file_is_rebuilt(tmp_path, monkeypatch):
         return compute(k)
 
     monkeypatch.setattr(rules, "compute_rule", counted)
-    # versions 1 and 2 hold the rules of older builders, off in the last digits
-    for old in (1, 2):
-        body = current[: current.rfind("# sha256=")].replace("version=3", f"version={old}")
+    # versions 1 and 2 hold the rules of older builders, off in the last
+    # digits; versions 1 to 3 hold decimal rows
+    for old in (1, 2, 3):
+        body = current[: current.rfind("# sha256=")].replace("version=4", f"version={old}")
         path.write_text(f"{body}# sha256={hashlib.sha256(body.encode('ascii')).hexdigest()}\n")
         builds.clear()
         load_or_compute_rule(5, tmp_path)
         assert builds == [5]
         assert path.read_text() == current
+
+    # a real version 3 file, valid in its own format, is rebuilt once
+    path = tmp_path / "glq_2.csv"
+    path.write_text(VERSION_3_ORDER_2)
+    builds.clear()
+    rule = load_or_compute_rule(2, tmp_path)
+    assert builds == [2]
+    assert _same_rule(rule, compute(2))
+    assert path.read_text().startswith("# gauss-laguerre order=2 flushed=0 version=4\n")
+    load_or_compute_rule(2, tmp_path)
+    assert builds == [2]
 
 
 def test_cache_hit_skips_recompute(tmp_path, monkeypatch):
@@ -319,9 +373,13 @@ def test_cache_corruption_recovers(tmp_path):
     good = load_or_compute_rule(6, tmp_path)
     path = tmp_path / "glq_6.csv"
     text = path.read_text()
+    # one hex digit of the second row's node, flipped in its low bit
+    pos = text.index("\n") + 1 + 34 + 9
+    flipped = f"{text[:pos]}{int(text[pos], 16) ^ 1:x}{text[pos + 1:]}"
+    assert flipped != text and flipped.count("\n") == text.count("\n")
 
     for broken in (
-        text.replace("e0", "e1", 1),              # checksum mismatch
+        flipped,                                  # checksum mismatch
         text.replace("order=6", "order=7"),       # header tamper
         "\n".join(text.splitlines()[:4]) + "\n",  # truncated
         "",
@@ -337,9 +395,10 @@ def test_malformed_rows_behind_a_valid_checksum_are_rebuilt(tmp_path):
     good = load_or_compute_rule(4, tmp_path)
     path = tmp_path / "glq_4.csv"
     text = path.read_text()
-    header, *rows = text[: text.rfind("# sha256=")].splitlines()
+    body = text[: text.rfind("# sha256=")]
+    header, *rows = body.splitlines()
     node, weight = rows[1].split(",")
-    for row in (
+    broken = ["\n".join([header, rows[0], row, *rows[2:]]) + "\n" for row in (
         node,                      # one field
         "",                        # blank line
         f"{node},,{weight}",       # empty field
@@ -347,12 +406,22 @@ def test_malformed_rows_behind_a_valid_checksum_are_rebuilt(tmp_path):
         f"{node}\x00,{weight}",    # NUL byte
         f"0x1p-1,{weight}",        # hexadecimal float
         f"{node};{weight}",        # wrong separator
-    ):
-        body = "\n".join([header, rows[0], row, *rows[2:]]) + "\n"
+        f"{node[:15]},{weight}",   # a field of 15 digits
+        f"{node}0,{weight}",       # a field of 17 digits
+        f"{node[:15]},{node[15]}{weight}",    # the same digits, the comma moved
+        f"{node[:8]} {node[9:]},{weight}",    # a space inside a field
+        f"{node[:8]} {node[9:15]} ,{weight}",  # two, where fromhex skips them
+        f"{node[:15]}g,{weight}",  # a non-hex digit
+        # the same row as version 3 wrote it
+        f"{format_float(_from_bits(node))},{format_float(_from_bits(weight))}",
+    )]
+    # two rows on one line, where fromhex skips the blank between them
+    broken.append(body.replace(f"{rows[1]}\n", f"{rows[1]} "))
+    for body in broken:
         digest = hashlib.sha256(body.encode("ascii")).hexdigest()
         path.write_text(f"{body}# sha256={digest}\n")
         rule = load_or_compute_rule(4, tmp_path)
-        assert _same_rule(rule, good), repr(row)
+        assert _same_rule(rule, good), repr(body)
         assert path.read_text() == text
 
 
@@ -362,7 +431,7 @@ def test_weights_off_by_1e_10_behind_a_valid_checksum_are_rebuilt(tmp_path):
     text = path.read_text()
     header, first, *rows = text[: text.rfind("# sha256=")].splitlines()
     node, weight = first.split(",")
-    body = "\n".join([header, f"{node},{format_float(float(weight) + 1e-10)}", *rows]) + "\n"
+    body = "\n".join([header, f"{node},{_to_bits(_from_bits(weight) + 1e-10)}", *rows]) + "\n"
     digest = hashlib.sha256(body.encode("ascii")).hexdigest()
     path.write_text(f"{body}# sha256={digest}\n")
     rule = load_or_compute_rule(60, tmp_path)
