@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
-from fractions import Fraction
 
 from .average import average_kernel, population_average_oracle, pre_exponential_factor
 from .extrapolate import FIT_ORDERS, error_sequence, fit_window
@@ -109,9 +109,14 @@ def _emit(*cells) -> None:
 
 
 def _q_fraction(q: float) -> str:
-    frac = Fraction(q).limit_denominator(48)
-    if abs(float(frac) - q) < 1e-12:
-        return f"{frac.numerator}/{frac.denominator}" if frac.denominator != 1 else str(frac.numerator)
+    """q as n/d in lowest terms when within 1e-12 of one with d <= 48.
+
+    Two such fractions lie at least 1/(48*47) apart, so the smallest d that
+    fits gives the closest fraction, in lowest terms."""
+    for d in range(1, 49):
+        n = round(q * d)
+        if abs(n / d - q) < 1e-12:
+            return f"{n}/{d}" if d != 1 else str(n)
     return repr(q)
 
 
@@ -317,3 +322,20 @@ def main(argv=None) -> int:
     except (ArithmeticError, RuntimeError, OSError) as exc:
         print(f"avgkernel: {exc}", file=sys.stderr)
         return 3
+
+
+def run() -> None:
+    """Process entry: main(), then exit without interpreter teardown.
+
+    Once stdout and stderr are flushed, the teardown has nothing left to
+    do (the package registers no atexit handler), so the process skips its
+    cost.  If a flush fails, as into a closed pipe, the process exits
+    through sys.exit, as it would without this entry.
+    """
+    rc = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(rc)
+    os._exit(rc)

@@ -14,6 +14,7 @@ order, whose rows hold each node's and weight's IEEE-754 bits in hex.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import os
 import re
@@ -30,8 +31,8 @@ _MIN_NORMAL = sys.float_info.min
 
 _FORMAT_VERSION = 4
 _HEADER_RE = re.compile(
-    rf"# gauss-laguerre order=(\d+) flushed=(\d+) version={_FORMAT_VERSION}$")
-_CHECKSUM_MARKER = "# sha256="
+    rf"# gauss-laguerre order=(\d+) flushed=(\d+) version={_FORMAT_VERSION}$".encode("ascii"))
+_CHECKSUM_MARKER = b"# sha256="
 # a cache row: 16 hex digits, a comma, 16 hex digits and a newline
 _ROW_LEN = 34
 
@@ -66,15 +67,15 @@ def _read_only_rule(order: int, nodes: np.ndarray, weights: np.ndarray) -> Quadr
 def _invariant_problem(order: int, nodes: np.ndarray, weights: np.ndarray) -> str | None:
     if len(nodes) != order or len(weights) != order:
         return "wrong number of nodes or weights"
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
         return "non-finite entries"
     if nodes[0] <= 0.0:
         return "first node not positive"
-    if np.any(np.diff(nodes) <= 0.0):
+    if not (nodes[1:] > nodes[:-1]).all():
         return "nodes not strictly increasing"
     if nodes[-1] >= 4.0 * order + 2.0:
         return "last node beyond 4k+2"
-    if np.any(weights < 0.0):
+    if (weights < 0.0).any():
         return "negative weight"
     # every rule of order 1..2000 the builder makes sums to 1 within 6.6e-13
     if abs(float(weights.sum()) - 1.0) > 1e-12:
@@ -208,36 +209,37 @@ def compute_rule(k: int) -> QuadratureRule:
     return compute_rules([k])[0]
 
 
-def _serialize_rule(rule: QuadratureRule) -> str:
+def _serialize_rule(rule: QuadratureRule) -> bytes:
     flushed = int(np.count_nonzero(rule.weights == 0.0))
     # one row per node: the big-endian bits of the node and of its weight
     bits = np.column_stack([rule.nodes, rule.weights]).astype(">f8").tobytes()
     rows = bytearray(bits.hex(",", 8).encode("ascii") + b",")
     rows[_ROW_LEN - 1::_ROW_LEN] = b"\n" * rule.order
     body = (f"# gauss-laguerre order={rule.order} flushed={flushed} version={_FORMAT_VERSION}\n"
-            + rows.decode("ascii"))
-    digest = hashlib.sha256(body.encode("ascii")).hexdigest()
-    return f"{body}{_CHECKSUM_MARKER}{digest}\n"
+            .encode("ascii") + rows)
+    return body + _CHECKSUM_MARKER + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
 
 
-def _parse_cache_text(text: str, k: int) -> QuadratureRule:
-    pos = text.rfind(_CHECKSUM_MARKER)
+def _parse_cache_bytes(data: bytes, k: int) -> QuadratureRule:
+    pos = data.rfind(_CHECKSUM_MARKER)
     if pos < 0:
         raise _CorruptCache("missing checksum line")
-    body = text[:pos]
-    claimed = text[pos + len(_CHECKSUM_MARKER):].strip()
-    if hashlib.sha256(body.encode("ascii", "replace")).hexdigest() != claimed:
+    body = data[:pos]
+    claimed = data[pos + len(_CHECKSUM_MARKER):].strip()
+    if hashlib.sha256(body).hexdigest().encode("ascii") != claimed:
         raise _CorruptCache("checksum mismatch")
-    header, _, rows = body.partition("\n")
+    header, _, rows = body.partition(b"\n")
     m = _HEADER_RE.match(header)
     if m is None or int(m.group(1)) != k:
         raise _CorruptCache("bad header")
-    if (len(rows) != _ROW_LEN * k or rows[16::_ROW_LEN] != "," * k
-            or rows[_ROW_LEN - 1::_ROW_LEN] != "\n" * k):
+    if (len(rows) != _ROW_LEN * k or rows[16::_ROW_LEN] != b"," * k
+            or rows[_ROW_LEN - 1::_ROW_LEN] != b"\n" * k):
         raise _CorruptCache("bad rows: not two 16-digit fields per line")
     try:
-        # fromhex skips whitespace: a blank inside a field fails the reshape
-        pairs = np.frombuffer(bytes.fromhex(rows.replace(",", "")), ">f8").reshape(k, 2)
+        # a comma or newline inside a field leaves too few digits: an odd
+        # count fails unhexlify, an even one the reshape
+        bits = binascii.unhexlify(rows.replace(b",", b"").replace(b"\n", b""))
+        pairs = np.frombuffer(bits, ">f8").reshape(k, 2)
     except ValueError as exc:
         raise _CorruptCache(f"bad row: {exc}") from exc
     # each column in a native array of its own, allocated as a one-order build's are
@@ -260,42 +262,58 @@ def default_cache_dir() -> str:
     return str(base / "avgkernel")
 
 
-def _cache_path(k: int, cache_dir: str | os.PathLike | None) -> Path | None:
-    """The cache file of order k, or None when cache_dir disables caching."""
-    if cache_dir is None or str(cache_dir) == "":
-        return None
-    return Path(cache_dir) / f"glq_{k}.csv"
+def _caching(cache_dir: str | os.PathLike | None) -> bool:
+    return cache_dir is not None and str(cache_dir) != ""
 
 
-def has_cache_file(k: int, cache_dir: str | os.PathLike | None) -> bool:
-    """Whether cache_dir holds a file for order k, valid or not."""
-    path = _cache_path(k, cache_dir)
-    return path is not None and path.is_file()
+def _cache_name(k: int) -> str:
+    return f"glq_{k}.csv"
+
+
+def uncached_orders(orders, cache_dir: str | os.PathLike | None) -> list[int]:
+    """The orders for which cache_dir holds no file, valid or not, in
+    their order: every order when cache_dir disables caching or does not
+    exist.  One directory listing serves all orders."""
+    if not _caching(cache_dir):
+        return list(orders)
+    try:
+        with os.scandir(cache_dir) as entries:
+            names = {entry.name for entry in entries if entry.is_file()}
+    except (FileNotFoundError, NotADirectoryError):
+        names = set()
+    return [k for k in orders if _cache_name(k) not in names]
+
+
+def _nonblocking(path: str, flags: int) -> int:
+    """Opener for cache reads: a named pipe where a cache file belongs reads
+    as empty, and is rebuilt and replaced, instead of blocking the load."""
+    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
 
 
 def load_or_compute_rule(k: int, cache_dir: str | os.PathLike | None,
                          built: QuadratureRule | None = None) -> QuadratureRule:
     """compute_rule with a read-through disk cache.
 
-    Corrupt or stale cache files are recomputed and replaced.  An empty
-    cache_dir (or None) disables caching entirely.  Writes go through a
-    temp file and os.replace, so concurrent readers never see partials.
-    built, a rule of order k the caller has already constructed, stands in
-    for compute_rule.
+    A missing cache file is a miss; corrupt or stale ones are recomputed
+    and replaced.  An empty cache_dir (or None) disables caching entirely.
+    Writes go through a temp file and os.replace, so concurrent readers
+    never see partials.  built, a rule of order k the caller has already
+    constructed, stands in for compute_rule.
     """
-    path = _cache_path(k, cache_dir)
-    if path is not None and path.is_file():
+    if _caching(cache_dir):
         try:
-            return _parse_cache_text(path.read_text(encoding="ascii", errors="replace"), k)
-        except _CorruptCache:
+            with open(os.path.join(cache_dir, _cache_name(k)), "rb", opener=_nonblocking) as fh:
+                return _parse_cache_bytes(fh.read(), k)
+        except (FileNotFoundError, NotADirectoryError, IsADirectoryError, _CorruptCache):
             pass
     rule = built if built is not None else compute_rule(k)
-    if path is None:
+    if not _caching(cache_dir):
         return rule
+    path = Path(cache_dir) / _cache_name(k)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".glq_{k}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(_serialize_rule(rule))
         os.replace(tmp, path)
     except BaseException:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .rules import QuadratureRule, compute_rules, has_cache_file, load_or_compute_rule
+from .rules import QuadratureRule, compute_rules, load_or_compute_rule, uncached_orders
 
 
 class IntegrandError(ArithmeticError):
@@ -56,7 +56,7 @@ def load_rules(orders, cache_dir) -> list[QuadratureRule]:
     if not orders:
         raise ValueError("no rule orders to load")
     # a corrupt cache file is left to load_or_compute_rule to rebuild
-    uncached = [k for k in orders if not has_cache_file(k, cache_dir)]
+    uncached = uncached_orders(orders, cache_dir)
     built = dict(zip(uncached, compute_rules(uncached)))
     return [load_or_compute_rule(k, cache_dir, built.get(k)) for k in orders]
 

@@ -327,10 +327,109 @@ def test_cache_corrupted_between_runs_is_rebuilt(tmp_path, capsys):
     data[len(data) // 2] ^= 1
     path.write_bytes(bytes(data))
     with pytest.raises(rules._CorruptCache):
-        rules._parse_cache_text(path.read_text(encoding="ascii"), 5)
+        rules._parse_cache_bytes(path.read_bytes(), 5)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == first
-    assert rules._parse_cache_text(path.read_text(encoding="ascii"), 5).order == 5
+    assert rules._parse_cache_bytes(path.read_bytes(), 5).order == 5
+
+
+def test_table3_cache_entry_that_is_a_directory_exits_3(tmp_path, capsys):
+    # a directory where order 5's file belongs is no cache file: the rule
+    # is built, and replacing the directory with it fails
+    (tmp_path / "glq_5.csv").mkdir()
+    assert rules.uncached_orders(range(1, 8), tmp_path) == [1, 2, 3, 4, 5, 6, 7]
+    assert cli.main(["table3", "--max-points", "21", "--cache-dir", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "# columns: type,p,q,beta_bar\n"
+    prefix = f"avgkernel: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path}/.glq_5."
+    assert captured.err.startswith(prefix), captured.err
+    assert captured.err.endswith(f".tmp' -> '{tmp_path}/glq_5.csv'\n"), captured.err
+    # orders 1..4 were written before, and no temp file is left
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "glq_1.csv", "glq_2.csv", "glq_3.csv", "glq_4.csv", "glq_5.csv"]
+    assert rules.uncached_orders(range(1, 8), tmp_path) == [5, 6, 7]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_named_pipe_in_place_of_a_cache_file_is_replaced(tmp_path):
+    os.mkfifo(tmp_path / "glq_3.csv")
+    argv = [sys.executable, "-m", "avgkernel", "rule", "--points", "3", "--cache-dir", str(tmp_path)]
+    cp = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == run_cli("rule", "--points", "3").stdout
+    assert (tmp_path / "glq_3.csv").is_file()
+    assert rules.load_or_compute_rule(3, tmp_path).order == 3
+
+
+def test_table3_creates_a_missing_cache_dir(tmp_path, capsys):
+    cache = tmp_path / "missing" / "cache"
+    assert rules.uncached_orders([3, 1, 2], cache) == [3, 1, 2]
+    argv = ["table3", "--max-points", "21", "--format", "json"]
+    assert cli.main([*argv, "--cache-dir", ""]) == 0
+    uncached = capsys.readouterr()
+    assert cli.main([*argv, "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr() == uncached
+    assert sorted(path.name for path in cache.iterdir()) == sorted(
+        f"glq_{k}.csv" for k in range(1, 22))
+    assert rules.uncached_orders(range(20, 24), cache) == [22, 23]
+
+
+# main() followed by the interpreter's teardown: how the process ended
+# before python -m avgkernel went through cli.run
+_SYS_EXIT_MAIN = "import sys; from avgkernel.cli import main; sys.exit(main())"
+
+
+def _entry(entry, argv, stdout=subprocess.PIPE):
+    # standard output block-buffered, as a user's process has it by default
+    env = dict(os.environ, AVGKERNEL_CACHE_DIR="")
+    env.pop("PYTHONUNBUFFERED", None)
+    head = ["-m", "avgkernel"] if entry == "run" else ["-c", _SYS_EXIT_MAIN]
+    return subprocess.Popen([sys.executable, *head, *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["rule", "--points", "2000", "--cache-dir", ""], 0, ""),
+    (["check", "--kernel", "q=0.5; 2", "--max-points", "21", "--cache-dir", ""], 1, ""),
+    (["rule", "--points", "2001"], 2, "avgkernel: --points must be <= 2000\n"),
+    (["rule", "--points", "5", "--cache-dir", "{file}"], 3,
+     f"avgkernel: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{{file}}'\n"),
+], ids=["0", "1", "2", "3"])
+def test_process_entry_exit_codes(argv, code, err, tmp_path, capsysbinary):
+    file = tmp_path / "not-a-dir"
+    file.write_text("")
+    argv = [arg.format(file=file) for arg in argv]
+    assert cli.main(argv) == code
+    in_process = capsysbinary.readouterr()
+    cp = _entry("run", argv)
+    out, stderr = cp.communicate()
+    assert cp.returncode == code
+    assert stderr.decode() == err.format(file=file)
+    assert out == in_process.out
+    assert stderr == in_process.err
+
+
+@pytest.mark.parametrize("close, argv", [
+    # 94 kB of rows: more than the pipe holds, so a write fails in main()
+    ("after one line", ["rule", "--points", "2000"]),
+    # a few buffered bytes: only the flush at exit fails
+    ("before any output", ["rule", "--points", "1"]),
+])
+def test_process_entry_into_a_closed_pipe(close, argv):
+    ends = []
+    for entry in ("run", "sys.exit"):
+        read, write = os.pipe()
+        if close == "before any output":
+            os.close(read)
+        proc = _entry(entry, argv, stdout=write)
+        os.close(write)
+        if close == "after one line":
+            with os.fdopen(read, "rb") as reader:
+                assert reader.readline().startswith(b"1,")
+        ends.append((proc.wait(timeout=60), proc.stderr.read()))
+        proc.stderr.close()
+    assert ends[0] == ends[1]
+    assert ends[0][0] != 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -410,13 +410,15 @@ def test_malformed_rows_behind_a_valid_checksum_are_rebuilt(tmp_path):
         f"{node}0,{weight}",       # a field of 17 digits
         f"{node[:15]},{node[15]}{weight}",    # the same digits, the comma moved
         f"{node[:8]} {node[9:]},{weight}",    # a space inside a field
-        f"{node[:8]} {node[9:15]} ,{weight}",  # two, where fromhex skips them
+        f"{node[:8]} {node[9:15]} ,{weight}",  # two, at byte boundaries
         f"{node[:15]}g,{weight}",  # a non-hex digit
         # the same row as version 3 wrote it
         f"{format_float(_from_bits(node))},{format_float(_from_bits(weight))}",
     )]
-    # two rows on one line, where fromhex skips the blank between them
+    # two rows on one line, with a blank between them
     broken.append(body.replace(f"{rows[1]}\n", f"{rows[1]} "))
+    # the same digits, a newline moved one place to the left
+    broken.append(body.replace(f"{rows[1]}\n", f"{rows[1][:-1]}\n{rows[1][-1]}"))
     for body in broken:
         digest = hashlib.sha256(body.encode("ascii")).hexdigest()
         path.write_text(f"{body}# sha256={digest}\n")
@@ -425,15 +427,49 @@ def test_malformed_rows_behind_a_valid_checksum_are_rebuilt(tmp_path):
         assert path.read_text() == text
 
 
-def test_weights_off_by_1e_10_behind_a_valid_checksum_are_rebuilt(tmp_path):
+def test_wrong_flushed_count_behind_a_valid_checksum_is_rebuilt(tmp_path):
+    # order 400 has weights flushed to zero, order 4 none
+    for k in (4, 400):
+        good = load_or_compute_rule(k, tmp_path)
+        flushed = int(np.count_nonzero(good.weights == 0.0))
+        assert (flushed > 0) == (k == 400)
+        path = tmp_path / f"glq_{k}.csv"
+        text = path.read_text()
+        for wrong in {flushed - 1, flushed + 1} - {-1}:
+            body = text[: text.rfind("# sha256=")].replace(
+                f" flushed={flushed} ", f" flushed={wrong} ", 1)
+            path.write_text(f"{body}# sha256={hashlib.sha256(body.encode('ascii')).hexdigest()}\n")
+            with pytest.raises(rules._CorruptCache, match="flushed count mismatch"):
+                rules._parse_cache_bytes(path.read_bytes(), k)
+            assert _same_rule(load_or_compute_rule(k, tmp_path), good)
+            assert path.read_text() == text
+
+
+@pytest.mark.parametrize("problem, column, index, value", [
+    ("non-finite entries", 1, 5, lambda values: np.nan),
+    ("first node not positive", 0, 0, lambda values: 0.0),
+    ("nodes not strictly increasing", 0, 2, lambda values: values[1]),
+    ("last node beyond 4k+2", 0, -1, lambda values: 4.0 * 60 + 2.0),
+    ("negative weight", 1, 3, lambda values: -values[3]),
+    ("weights do not sum to 1", 1, 0, lambda values: values[0] + 1e-10),
+], ids=["non-finite", "first-node", "increasing", "last-node", "negative-weight", "weight-sum"])
+def test_invariant_failures_behind_a_valid_checksum_are_rebuilt(
+        tmp_path, problem, column, index, value):
+    # one entry of an order-60 rule changed so that the rule fails one
+    # check of _invariant_problem, written as a valid version 4 file
     good = load_or_compute_rule(60, tmp_path)
     path = tmp_path / "glq_60.csv"
     text = path.read_text()
-    header, first, *rows = text[: text.rfind("# sha256=")].splitlines()
-    node, weight = first.split(",")
-    body = "\n".join([header, f"{node},{_to_bits(_from_bits(weight) + 1e-10)}", *rows]) + "\n"
+    columns = [good.nodes.copy(), good.weights.copy()]
+    columns[column][index] = value(columns[column])
+    assert rules._invariant_problem(60, *columns) == problem
+    header = text.splitlines()[0]
+    body = "".join([f"{header}\n", *(f"{_to_bits(x)},{_to_bits(w)}\n" for x, w in zip(*columns))])
     digest = hashlib.sha256(body.encode("ascii")).hexdigest()
     path.write_text(f"{body}# sha256={digest}\n")
+    with pytest.raises(rules._CorruptCache) as excinfo:
+        rules._parse_cache_bytes(path.read_bytes(), 60)
+    assert str(excinfo.value) == problem
     rule = load_or_compute_rule(60, tmp_path)
     assert _same_rule(rule, good)
     assert path.read_text() == text
