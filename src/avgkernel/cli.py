@@ -1,7 +1,7 @@
 """Command-line surface: rule, converge, report, table3, check.
 
-Exit codes: 0 success, 1 check failed, 2 usage/validation, 3 numeric or
-internal failure.  Standard output is byte-deterministic for identical
+Exit codes: 0 success, 1 check failed, 2 usage/validation, 3 numeric, I/O
+or internal failure.  Standard output is byte-deterministic for identical
 invocations; diagnostics go to standard error.
 """
 
@@ -11,6 +11,7 @@ import argparse
 import ctypes
 import json
 import os
+import signal
 import sys
 
 from .average import average_kernel, population_average_oracle, pre_exponential_factor
@@ -121,11 +122,10 @@ def _q_fraction(q: float) -> str:
 
 
 def _beta_display(p: float, q: float) -> str:
-    if q == 0.0:
-        return f"{p:.4f}"
-    if q == 1.0:
-        return f"{p:.4f}*u"
-    return f"{p:.4f}*u^({_q_fraction(q)})"
+    """p*u^q to four decimals, q as _q_fraction writes it: p alone when
+    that is 0, and p*u when it is 1."""
+    q_text = _q_fraction(q)
+    return f"{p:.4f}" + {"0": "", "1": "*u"}.get(q_text, f"*u^({q_text})")
 
 
 def _ii(q: float, fit) -> str:
@@ -315,7 +315,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
-        return args.func(args, cache_dir)
+        try:
+            return args.func(args, cache_dir)
+        finally:  # so a failed last write ends as any failed write does
+            sys.stdout.flush()
     except ValueError as exc:
         print(f"avgkernel: {exc}", file=sys.stderr)
         return 2
@@ -325,17 +328,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Process entry: main(), then exit without interpreter teardown.
-
-    Once stdout and stderr are flushed, the teardown has nothing left to
-    do (the package registers no atexit handler), so the process skips its
-    cost.  If a flush fails, as into a closed pipe, the process exits
-    through sys.exit, as it would without this entry.
+    """Process entry: main(), which leaves no output buffered, then exit
+    without interpreter teardown (the package registers no atexit handler).
+    A reader that closes the pipe early ends the process by SIGPIPE, as cat.
     """
-    rc = main()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except (OSError, ValueError):
-        sys.exit(rc)
-    os._exit(rc)
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    os._exit(main())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +27,15 @@ class KernelSyntaxError(ValueError):
             f"syntax error at offset {offset}: expected "
             f"{', '.join(self.expected)}; found {found}"
         )
+
+
+class KernelNestingError(ValueError):
+    """Kernel expression nested deeper than Python's recursion limit lets
+    the parser or the evaluator go."""
+
+    def __init__(self):
+        super().__init__("kernel expression nested too deeply"
+                         f" (Python's recursion limit is {sys.getrecursionlimit()})")
 
 
 class NonHomogeneousError(ValueError):
@@ -255,6 +265,7 @@ def eval_kernel(spec: KernelSpec, x, y):
     """beta(x, y) for scalars or numpy arrays.
 
     Scalars give a float, and a domain failure raises KernelDomainError.
+    An expression too deeply nested to evaluate raises KernelNestingError.
     Arrays give a float64 array of the shape x and y broadcast to, even for
     a kernel that ignores one or both; it may carry NaN through.
     """
@@ -265,7 +276,10 @@ def eval_kernel(spec: KernelSpec, x, y):
         if isinstance(spec.source, str):
             val = _BUILTINS[spec.source][0](x, y)
         else:
-            val = _eval_tree(spec.source, x, y)
+            try:
+                val = _eval_tree(spec.source, x, y)
+            except RecursionError:
+                raise KernelNestingError() from None
     if scalar:
         v = float(val)
         if not math.isfinite(v):
@@ -352,7 +366,10 @@ def parse_kernel(text: str) -> KernelSpec:
         parser.advance()
         explicit_q = parser.parse_number_literal()
         parser.expect_op(";")
-    tree = parser.parse_expr()
+    try:
+        tree = parser.parse_expr()
+    except RecursionError:
+        raise KernelNestingError() from None
     if parser.peek()[0] != "end":
         parser.fail(("'+'", "'-'", "'*'", "'/'", "'^'", "end of input"))
     spec = KernelSpec(

@@ -2,6 +2,7 @@ import ctypes
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -374,17 +375,12 @@ def test_table3_creates_a_missing_cache_dir(tmp_path, capsys):
     assert rules.uncached_orders(range(20, 24), cache) == [22, 23]
 
 
-# main() followed by the interpreter's teardown: how the process ended
-# before python -m avgkernel went through cli.run
-_SYS_EXIT_MAIN = "import sys; from avgkernel.cli import main; sys.exit(main())"
-
-
-def _entry(entry, argv, stdout=subprocess.PIPE):
-    # standard output block-buffered, as a user's process has it by default
+def _entry(argv, stdout=subprocess.PIPE):
+    # python -m avgkernel, with standard output block-buffered, as a user's
+    # process has it by default
     env = dict(os.environ, AVGKERNEL_CACHE_DIR="")
     env.pop("PYTHONUNBUFFERED", None)
-    head = ["-m", "avgkernel"] if entry == "run" else ["-c", _SYS_EXIT_MAIN]
-    return subprocess.Popen([sys.executable, *head, *argv], stdout=stdout,
+    return subprocess.Popen([sys.executable, "-m", "avgkernel", *argv], stdout=stdout,
                             stderr=subprocess.PIPE, env=env)
 
 
@@ -401,7 +397,7 @@ def test_process_entry_exit_codes(argv, code, err, tmp_path, capsysbinary):
     argv = [arg.format(file=file) for arg in argv]
     assert cli.main(argv) == code
     in_process = capsysbinary.readouterr()
-    cp = _entry("run", argv)
+    cp = _entry(argv)
     out, stderr = cp.communicate()
     assert cp.returncode == code
     assert stderr.decode() == err.format(file=file)
@@ -409,27 +405,40 @@ def test_process_entry_exit_codes(argv, code, err, tmp_path, capsysbinary):
     assert stderr == in_process.err
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
 @pytest.mark.parametrize("close, argv", [
-    # 94 kB of rows: more than the pipe holds, so a write fails in main()
+    # 94 kB of rows: more than the pipe holds, so a write in main() fails
     ("after one line", ["rule", "--points", "2000"]),
-    # a few buffered bytes: only the flush at exit fails
+    # a few buffered bytes: only main()'s last flush fails
     ("before any output", ["rule", "--points", "1"]),
 ])
 def test_process_entry_into_a_closed_pipe(close, argv):
-    ends = []
-    for entry in ("run", "sys.exit"):
+    # a reader that closes early ends the process as it ends cat, whenever
+    # it closes
+    for _ in range(3):
         read, write = os.pipe()
         if close == "before any output":
             os.close(read)
-        proc = _entry(entry, argv, stdout=write)
+        proc = _entry(argv, stdout=write)
         os.close(write)
         if close == "after one line":
             with os.fdopen(read, "rb") as reader:
                 assert reader.readline().startswith(b"1,")
-        ends.append((proc.wait(timeout=60), proc.stderr.read()))
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+        assert proc.stderr.read() == b""
         proc.stderr.close()
-    assert ends[0] == ends[1]
-    assert ends[0][0] != 0
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full") and hasattr(signal, "SIGPIPE")),
+                    reason="no /dev/full or no SIGPIPE")
+@pytest.mark.parametrize("points", ["1", "2000"])
+def test_process_entry_into_a_full_device(points):
+    # a failed write ends the same way whether main() writes it or flushes it
+    with open("/dev/full", "wb") as full:
+        proc = _entry(["rule", "--points", points], stdout=full)
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    assert stderr.decode() == f"avgkernel: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -504,6 +513,41 @@ def test_non_finite_degree_exits_2(command, fmt, cache_dir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "expected a finite number" in captured.err
+
+
+NESTED_TOO_DEEPLY = ("avgkernel: kernel expression nested too deeply"
+                     f" (Python's recursion limit is {sys.getrecursionlimit()})\n")
+
+
+@pytest.mark.parametrize("kernel", ["(" * 200 + "x+y" + ")" * 200, "+".join(["x"] * 1000)],
+                         ids=["200 parentheses", "1000-term sum"])
+def test_deeply_nested_kernel_exits_2(kernel, capsys):
+    # the parentheses overflow the parser, the sum the evaluator
+    argv = ["report", "--kernel", kernel, "--max-points", "21", "--cache-dir", ""]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", NESTED_TOO_DEEPLY)
+
+
+@pytest.mark.parametrize("kernel, builtin", [
+    ("(1/x^(1/3)+1/y^(1/3))*(x^(1/3)+y^(1/3))", "cr"),
+    ("(x^(1/6)+y^(1/6))^6", None),
+], ids=["q near 0", "q near 1"])
+def test_beta_bar_follows_the_printed_degree(kernel, builtin, capsys):
+    # an estimated q a few ulps off 0 or 1 prints as the exact one does
+    argv = ["report", "--max-points", "21", "--format", "json", "--cache-dir", ""]
+    assert cli.main([*argv, "--kernel", kernel]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["q"] not in (0.0, 1.0)
+    if builtin is None:
+        assert payload["beta_bar"] == f"{payload['p']:.4f}*u"
+    else:
+        assert cli.main([*argv, "--kernel", builtin]) == 0
+        assert payload["beta_bar"] == json.loads(capsys.readouterr().out)["beta_bar"]
+
+
+def test_beta_display_takes_the_printed_fraction():
+    assert cli._beta_display(2.0, -5e-18) == "2.0000"
+    assert cli._beta_display(2.0, 1.0 - 2.0 ** -52) == "2.0000*u"
 
 
 def test_numeric_failure_exits_3(cache_dir):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from avgkernel import kernels
 from avgkernel.kernels import (
     KernelDomainError,
+    KernelNestingError,
     KernelSpec,
     KernelSyntaxError,
     NonHomogeneousError,
@@ -211,6 +213,17 @@ def test_sampling_matches_the_scalar_loops(text):
 
     assert outcome(_verify_symmetry) == outcome(symmetry_warning_loop)
     assert outcome(homogeneity_degree) == outcome(homogeneity_degree_loop)
+
+
+def test_nesting_within_the_recursion_limit_parses_and_beyond_it_fails_to_evaluate():
+    assert parse_kernel("(" * 100 + "x+y" + ")" * 100).source == parse_kernel("x+y").source
+    # a tree too deep to evaluate fails wherever it is evaluated, not only
+    # in parse_kernel's sampling
+    tree = ("var", "x")
+    for _ in range(sys.getrecursionlimit()):
+        tree = ("+", tree, ("var", "y"))
+    with pytest.raises(KernelNestingError, match="nested too deeply"):
+        eval_kernel(KernelSpec(tree, 1.0, "deep"), np.ones(3), np.ones(3))
 
 
 def test_parse_rejects_trailing_tokens():

@@ -8,6 +8,8 @@ attributes would silently change the benchmark's per-layer counts.
 import contextlib
 import importlib.util
 import io
+import subprocess
+import sys
 from pathlib import Path
 
 from avgkernel import average, cli, laguerre, rules, tensor_quad
@@ -83,3 +85,13 @@ def test_tracer_counts_check_layers(tmp_path):
     assert layers["tensor_quad.calls"] == 21
     assert layers["rules.cache_misses"] == 21
     assert len(tracer.named("kernels.parse_kernel")) == 1
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own check of the tracer's counts and of table3's cache
+    # fill, run as the benchmark runs it
+    selftest = TRACER.parent / "selftest.py"
+    cp = subprocess.run([sys.executable, str(selftest)], capture_output=True, text=True,
+                        timeout=300)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "selftest: passed\n"
