@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
+import errno
 import os
 import signal
 import sys
@@ -109,6 +109,13 @@ def _emit(*cells) -> None:
                               else str(c) for c in cells) + "\n")
 
 
+def _emit_json(payload) -> None:
+    """Write payload as one line of JSON; only a JSON run loads json."""
+    import json
+
+    _emit(json.dumps(payload))
+
+
 def _q_fraction(q: float) -> str:
     """q as n/d in lowest terms when within 1e-12 of one with d <= 48.
 
@@ -136,11 +143,11 @@ def _ii(q: float, fit) -> str:
 def cmd_rule(args, cache_dir) -> int:
     rule = load_rules([_order(args.points, "--points", 1)], cache_dir)[0]
     if args.format == "json":
-        _emit(json.dumps({
+        _emit_json({
             "order": rule.order,
             "nodes": [float(x) for x in rule.nodes],
             "weights": [float(w) for w in rule.weights],
-        }))
+        })
         return 0
     for i, (x, w) in enumerate(zip(rule.nodes, rule.weights), start=1):
         _emit(i, x, w)
@@ -167,7 +174,7 @@ def cmd_converge(args, cache_dir) -> int:
         if fit.status != "short":
             payload.update({"C": fit.slope, "R": fit.remainder, "Q": values[-1],
                             "fit_window": list(fit.window), "II": _ii(values[-1], fit)})
-        _emit(json.dumps(payload))
+        _emit_json(payload)
         return 0
 
     for k, (value, e) in enumerate(zip(values, [*eps, None]), start=1):
@@ -194,7 +201,7 @@ def cmd_report(args, cache_dir) -> int:
     beta = _beta_display(result.p, result.q)
 
     if args.format == "json":
-        _emit(json.dumps({
+        _emit_json({
             "kernel": spec.label,
             "k_max": k_max,
             "Q": q_k,
@@ -207,7 +214,7 @@ def cmd_report(args, cache_dir) -> int:
             "status": fit.status,
             "fit_window": list(fit.window),
             "II": _ii(q_k, fit),
-        }))
+        })
         return 0
 
     _emit("# columns: kernel,Q,eps_n,C,R,p,q,beta_bar")
@@ -230,7 +237,7 @@ def cmd_table3(args, cache_dir) -> int:
             _emit(kernel_id, result.p, result.q, beta)
         rows.append({"type": kernel_id, "p": result.p, "q": result.q, "beta_bar": beta})
     if args.format == "json":
-        _emit(json.dumps({"k_max": k_max, "rows": rows}))
+        _emit_json({"k_max": k_max, "rows": rows})
     return 0
 
 
@@ -250,8 +257,8 @@ def cmd_check(args, cache_dir) -> int:
     passed = all(delta <= tol for *_, delta, tol in rows)
 
     if args.format == "json":
-        _emit(json.dumps({"kernel": spec.label, "k_max": k_max,
-                          **dict(zip(_CHECK_COLUMNS, zip(*rows))), "passed": passed}))
+        _emit_json({"kernel": spec.label, "k_max": k_max,
+                    **dict(zip(_CHECK_COLUMNS, zip(*rows))), "passed": passed})
     else:
         _emit("# columns: " + ",".join(_CHECK_COLUMNS))
         for u, *values in rows:
@@ -314,6 +321,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if sys.stdout is None:  # started with fd 1 closed: no write can succeed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
         try:
             return args.func(args, cache_dir)

@@ -11,7 +11,7 @@ at order 60, on a fresh temporary rule cache; then `table3` once more with
 caching disabled, which builds every rule in the process;
 then, again in both formats, the invocations of EDGE_CASES, which reach
 the other statuses and exit codes, the largest rule order and the paper's
-Table 3 at its default order: 78 invocations in all.
+Table 3 at its default order: 80 invocations in all.
 
 It writes tests/corpus_golden.json: for each invocation its arguments,
 exit code, standard error, standard output with every number replaced by
@@ -44,8 +44,9 @@ KERNELS = (
 # remainder (divergent, and an oracle overflow: exit 3), a kernel with a
 # wrong declared degree (exit 1), rejected arguments (exit 2), among them
 # a degree that is not finite, the rule of the largest order accepted,
-# the only one whose build rescales the recurrence's terms, and table3 at
-# its default order 361.
+# the only one whose build rescales the recurrence's terms, table3 at
+# its default order 361, and an asymmetric kernel, whose warning names the
+# sample pair where its two orientations differ most.
 EDGE_CASES = (
     ["rule", "--points", "2000"],
     ["table3"],
@@ -62,6 +63,7 @@ EDGE_CASES = (
     ["check", "--kernel", "x + y + 1", "--max-points", ORDER],
     *([command, "--kernel", "q=1e400; x*y/(x+y)", "--max-points", ORDER]
       for command in ("report", "check")),
+    ["report", "--kernel", "q=1; abs(x-2*y)", "--max-points", ORDER],
 )
 
 

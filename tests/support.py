@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from avgkernel.kernels import KernelSpec, NonHomogeneousError, eval_kernel
+from avgkernel.kernels import _SAMPLES, KernelSpec, NonHomogeneousError, eval_kernel
 
 
 def laguerre_series(k, x):
@@ -96,11 +96,9 @@ def euler_identity_residual(spec: KernelSpec, x: float, y: float, h: float) -> f
 
 def homogeneity_degree_loop(spec: KernelSpec) -> float:
     """avgkernel.kernels.homogeneity_degree with one scalar evaluation per
-    kernel value, sample pair by sample pair."""
-    rng = np.random.default_rng(20250831)
+    kernel value, pair by pair over the same sample pairs."""
     estimates = []
-    for _ in range(32):
-        x, y = 10.0 ** rng.uniform(-1.5, 1.5, 2)
+    for x, y in zip(*_SAMPLES[:, :32]):
         base = eval_kernel(spec, float(x), float(y))
         for alpha in (2.0, 0.5):
             scaled = eval_kernel(spec, float(alpha * x), float(alpha * y))
@@ -121,12 +119,10 @@ def homogeneity_degree_loop(spec: KernelSpec) -> float:
 
 def symmetry_warning_loop(spec: KernelSpec) -> str | None:
     """avgkernel.kernels._verify_symmetry with one scalar evaluation per
-    kernel value, sample pair by sample pair."""
-    rng = np.random.default_rng(27182818)
+    kernel value, pair by pair over the same sample pairs."""
     worst = 0.0
     where = None
-    for _ in range(64):
-        x, y = 10.0 ** rng.uniform(-1.5, 1.5, 2)
+    for x, y in zip(*_SAMPLES):
         a = eval_kernel(spec, float(x), float(y))
         b = eval_kernel(spec, float(y), float(x))
         rel = abs(a - b) / max(abs(a), abs(b), 1e-300)

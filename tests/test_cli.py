@@ -375,13 +375,13 @@ def test_table3_creates_a_missing_cache_dir(tmp_path, capsys):
     assert rules.uncached_orders(range(20, 24), cache) == [22, 23]
 
 
-def _entry(argv, stdout=subprocess.PIPE):
+def _entry(argv, stdout=subprocess.PIPE, **popen):
     # python -m avgkernel, with standard output block-buffered, as a user's
     # process has it by default
     env = dict(os.environ, AVGKERNEL_CACHE_DIR="")
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen([sys.executable, "-m", "avgkernel", *argv], stdout=stdout,
-                            stderr=subprocess.PIPE, env=env)
+                            stderr=subprocess.PIPE, env=env, **popen)
 
 
 @pytest.mark.parametrize("argv, code, err", [
@@ -439,6 +439,35 @@ def test_process_entry_into_a_full_device(points):
         _, stderr = proc.communicate(timeout=60)
     assert proc.returncode == 3
     assert stderr.decode() == f"avgkernel: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="no fork to close fd 1 in")
+def test_process_entry_with_stdout_closed():
+    # started as `avgkernel rule --points 1 >&-` starts it, with no fd 1 and
+    # so no sys.stdout, a run ends as a failed write does
+    proc = _entry(["rule", "--points", "1"], stdout=subprocess.DEVNULL,
+                  preexec_fn=lambda: os.close(1))
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    assert stderr.decode() == f"avgkernel: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+
+
+_FOOTPRINT_IN_CHILD = """\
+import sys
+from avgkernel import cli
+rc = cli.main(["check", "--kernel", "(x^(1/6)+y^(1/6))*(x^(1/3)+y^(1/3))",
+               "--max-points", "21", "--cache-dir", "", "--format", {fmt!r}])
+print(rc, *(name in sys.modules for name in ("numpy.random", "json")), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("fmt, json_loaded", [("csv", False), ("json", True)])
+def test_check_imports_only_what_it_runs(fmt, json_loaded):
+    # an expression kernel is sampled without numpy.random, and only a
+    # JSON run loads json
+    cp = subprocess.run([sys.executable, "-c", _FOOTPRINT_IN_CHILD.format(fmt=fmt)],
+                        capture_output=True, text=True, timeout=60)
+    assert cp.stderr == f"0 False {json_loaded}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -530,7 +559,7 @@ def test_deeply_nested_kernel_exits_2(kernel, capsys):
 
 @pytest.mark.parametrize("kernel, builtin", [
     ("(1/x^(1/3)+1/y^(1/3))*(x^(1/3)+y^(1/3))", "cr"),
-    ("(x^(1/6)+y^(1/6))^6", None),
+    ("(x^(1/3)+y^(1/3))^3", "sc"),
 ], ids=["q near 0", "q near 1"])
 def test_beta_bar_follows_the_printed_degree(kernel, builtin, capsys):
     # an estimated q a few ulps off 0 or 1 prints as the exact one does
@@ -538,11 +567,8 @@ def test_beta_bar_follows_the_printed_degree(kernel, builtin, capsys):
     assert cli.main([*argv, "--kernel", kernel]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["q"] not in (0.0, 1.0)
-    if builtin is None:
-        assert payload["beta_bar"] == f"{payload['p']:.4f}*u"
-    else:
-        assert cli.main([*argv, "--kernel", builtin]) == 0
-        assert payload["beta_bar"] == json.loads(capsys.readouterr().out)["beta_bar"]
+    assert cli.main([*argv, "--kernel", builtin]) == 0
+    assert payload["beta_bar"] == json.loads(capsys.readouterr().out)["beta_bar"]
 
 
 def test_beta_display_takes_the_printed_fraction():

@@ -1,5 +1,7 @@
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +215,36 @@ def test_sampling_matches_the_scalar_loops(text):
 
     assert outcome(_verify_symmetry) == outcome(symmetry_warning_loop)
     assert outcome(homogeneity_degree) == outcome(homogeneity_degree_loop)
+
+
+def _parse_outcomes(texts):
+    """repr of each parse_kernel result, or its exception's type and text."""
+    outcomes = []
+    for text in texts:
+        try:
+            outcomes.append(repr(parse_kernel(text)))
+        except (ArithmeticError, ValueError) as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
+
+_PARSE_WITHOUT_NUMPY_RANDOM = """\
+import sys
+sys.modules["numpy.random"] = None
+sys.path.insert(0, {tests!r})
+from test_kernels import SAMPLED_KERNELS, _parse_outcomes
+print(repr(_parse_outcomes(SAMPLED_KERNELS)))
+"""
+
+
+def test_parse_kernel_needs_no_numpy_random():
+    # the sample pairs are computed, not drawn, so parse_kernel gives the
+    # same specs, warnings and errors where numpy.random cannot be imported
+    child = _PARSE_WITHOUT_NUMPY_RANDOM.format(tests=str(Path(__file__).parent))
+    cp = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                        timeout=60)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == repr(_parse_outcomes(SAMPLED_KERNELS)) + "\n"
 
 
 def test_nesting_within_the_recursion_limit_parses_and_beyond_it_fails_to_evaluate():
