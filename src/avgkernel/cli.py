@@ -27,8 +27,9 @@ from .tensor_quad import load_rules
 _CHECK_U = (0.5, 1.0, 2.0)
 _ORACLE_RTOL = 1e-5
 _CHECK_COLUMNS = ("u", "beta_bar", "oracle", "delta", "tol")
-# The largest --points/--max-points accepted.  At k = 2000 each k x k
-# temporary of the 2D sum is 32 MB.
+# The largest --points/--max-points accepted.  The 2D sum holds one block of
+# rows at a time, but a series to k = 2000 reads 2M nodes and weights (32 MB)
+# and sums 2.7 billion kernel values: 18 to 24 s for FM or SD on 2 CPUs.
 MAX_ORDER = 2000
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -36,14 +37,16 @@ _M_MMAP_THRESHOLD = -3
 
 
 def _keep_freed_memory() -> None:
-    """Have glibc keep freed k x k temporaries for reuse by the next order.
+    """Have glibc keep the 2D sum's freed row-block temporaries for reuse by
+    the next block and the next order.
 
     By default an array above the mmap threshold is mapped on allocation
     and unmapped on free, and free memory at the heap top is trimmed, so
-    each order of a series faults its temporaries in afresh.  32 MiB is
-    glibc's largest mmap threshold on 64-bit; the trim threshold lies above
-    it.  Does nothing where the C library cannot be opened this way or has
-    no mallopt.
+    each block faults its temporaries in afresh: the series 1..361 of five
+    kernels takes 1.10 s in-process without this and 0.55 s with it.
+    32 MiB is glibc's largest mmap threshold on 64-bit; the trim threshold
+    lies above it.  Does nothing where the C library cannot be opened this
+    way or has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -15,7 +15,6 @@ order, whose rows hold each node's and weight's IEEE-754 bits in hex.
 from __future__ import annotations
 
 import binascii
-import hashlib
 import os
 import re
 import sys
@@ -26,6 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from .laguerre import _recurrence_scaled
+
+# CPython's own SHA-256, so that no process loads OpenSSL's libcrypto (about
+# 3.6 MB of RSS) for the cache checksums; hashlib's where the build lacks it
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _MIN_NORMAL = sys.float_info.min
 
@@ -217,7 +226,7 @@ def _serialize_rule(rule: QuadratureRule) -> bytes:
     rows[_ROW_LEN - 1::_ROW_LEN] = b"\n" * rule.order
     body = (f"# gauss-laguerre order={rule.order} flushed={flushed} version={_FORMAT_VERSION}\n"
             .encode("ascii") + rows)
-    return body + _CHECKSUM_MARKER + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
+    return body + _CHECKSUM_MARKER + sha256(body).hexdigest().encode("ascii") + b"\n"
 
 
 def _parse_cache_bytes(data: bytes, k: int) -> QuadratureRule:
@@ -226,7 +235,7 @@ def _parse_cache_bytes(data: bytes, k: int) -> QuadratureRule:
         raise _CorruptCache("missing checksum line")
     body = data[:pos]
     claimed = data[pos + len(_CHECKSUM_MARKER):].strip()
-    if hashlib.sha256(body).hexdigest().encode("ascii") != claimed:
+    if sha256(body).hexdigest().encode("ascii") != claimed:
         raise _CorruptCache("checksum mismatch")
     header, _, rows = body.partition(b"\n")
     m = _HEADER_RE.match(header)
@@ -253,12 +262,17 @@ def _parse_cache_bytes(data: bytes, k: int) -> QuadratureRule:
 
 
 def default_cache_dir() -> str:
-    """Cache location; AVGKERNEL_CACHE_DIR overrides, empty disables."""
+    """Cache location; AVGKERNEL_CACHE_DIR overrides, empty disables.
+
+    Otherwise $XDG_CACHE_HOME/avgkernel, or ~/.cache/avgkernel where
+    XDG_CACHE_HOME is unset, empty or relative: the XDG Base Directory
+    specification makes a relative path invalid, to be ignored.
+    """
     env = os.environ.get("AVGKERNEL_CACHE_DIR")
     if env is not None:
         return env
-    xdg = os.environ.get("XDG_CACHE_HOME", "")
-    base = Path(xdg).expanduser() if xdg else Path("~/.cache").expanduser()
+    xdg = Path(os.environ.get("XDG_CACHE_HOME", "")).expanduser()
+    base = xdg if xdg.is_absolute() else Path("~/.cache").expanduser()
     return str(base / "avgkernel")
 
 

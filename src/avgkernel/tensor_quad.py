@@ -1,12 +1,14 @@
 """Tensor-product 2D Gauss-Laguerre quadrature and the order-by-order series.
 
 Only square rules (the same order on both axes) are supported.  The double
-sum is contracted as w @ (vals @ w), so no k x k array beyond the kernel
-values and their finiteness mask is formed.  Its summation order is the
-BLAS library's, fixed for one library and CPU: repeated runs on one
-machine are bitwise identical, another BLAS build may differ in the last
-bits.  load_rules reads or builds the rules of the orders given, once
-each, and every series a command runs over them shares that list.
+sum is contracted as w @ (vals @ w), with the kernel values and their row
+sums vals @ w taken in blocks of whole rows, so no array larger than one
+block is formed at any order: about 2**16 values (0.5 MB), or 64 rows
+above order 1024 (1 MB at order 2000).  Its summation order is the BLAS
+library's, fixed for one library and CPU: repeated runs on one machine
+are bitwise identical, another BLAS build may differ in the last bits.
+load_rules reads or builds the rules of the orders given, once each, and
+every series a command runs over them shares that list.
 """
 
 from __future__ import annotations
@@ -18,6 +20,12 @@ import numpy as np
 from .rules import QuadratureRule, compute_rules, load_or_compute_rule, uncached_orders
 
 
+# Kernel values per block of the 2D sum.  The series 1..361 of five kernels
+# took 0.55 s in blocks of 2**16 values, 0.60 s as whole k x k arrays and
+# 0.63 s in blocks of 2**15 values (in-process, with cli._keep_freed_memory).
+_BLOCK_VALUES = 1 << 16
+
+
 class IntegrandError(ArithmeticError):
     """The integrand returned a non-finite value at a quadrature node."""
 
@@ -25,24 +33,37 @@ class IntegrandError(ArithmeticError):
 def integrate_2d(rule: QuadratureRule, f) -> float:
     """Tensor-product double sum sum_i sum_j A_i A_j f(x_i, x_j).
 
-    f is called once, with a k x 1 node column and a 1 x k node row, so
-    per-node work runs k times, not k*k.  It must accept arrays and may
-    return a scalar, a column, a row or a k x k grid, which is broadcast to
-    k x k; exceptions it raises propagate.  Every value is checked to be
-    finite, also where a weight has underflowed to 0, before the sum is
-    taken as w @ (vals @ w): the row sums sum_j f(x_i, x_j) A_j first, then
-    sum_i A_i times those.
+    f is called once per block of rows, with a column of those rows' nodes
+    and a 1 x k node row, so per-node work runs about k times, not k*k.  It
+    must accept arrays and may return a scalar, a column, a row or a full
+    block, which is broadcast to the block's shape; exceptions it raises
+    propagate.  Every value is checked to be finite, also where a weight has
+    underflowed to 0, before the block's row sums sum_j f(x_i, x_j) A_j are
+    taken; the sum is then sum_i A_i times those, w @ (vals @ w).
     """
-    x, y = rule.nodes[:, None], rule.nodes[None, :]
-    vals = np.broadcast_to(np.asarray(f(x, y), dtype=float), (rule.order, rule.order))
-    if not np.all(np.isfinite(vals)):
-        i, j = np.argwhere(~np.isfinite(vals))[0]
-        raise IntegrandError(
-            f"integrand is {vals[i, j]} at node pair ({i + 1}, {j + 1})"
-            f" (x = {float(rule.nodes[i])!r}, y = {float(rule.nodes[j])!r})"
-        )
-    w = rule.weights
-    return float(w @ (vals @ w))
+    k, nodes, w = rule.order, rule.nodes, rule.weights
+    rows = _block_rows(k)
+    y = nodes[None, :]
+    row_sums = np.empty(k)
+    for lo in range(0, k, rows):
+        x = nodes[lo:lo + rows, None]
+        vals = np.broadcast_to(np.asarray(f(x, y), dtype=float), (len(x), k))
+        if not np.all(np.isfinite(vals)):
+            i, j = np.argwhere(~np.isfinite(vals))[0]
+            raise IntegrandError(
+                f"integrand is {vals[i, j]} at node pair ({lo + i + 1}, {j + 1})"
+                f" (x = {float(nodes[lo + i])!r}, y = {float(nodes[j])!r})"
+            )
+        row_sums[lo:lo + len(x)] = vals @ w
+    return float(w @ row_sums)
+
+
+def _block_rows(k: int) -> int:
+    """Rows per block of an order-k sum: about _BLOCK_VALUES values, and a
+    multiple of 64 rows.  OpenBLAS's gemv rounds a row sum by how the rows
+    are grouped; groups of 64 rows sum every row as the whole k x k product
+    does, bit for bit, where groups of 22 rows did not."""
+    return max(64, _BLOCK_VALUES // k // 64 * 64)
 
 
 def load_rules(orders, cache_dir) -> list[QuadratureRule]:

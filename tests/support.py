@@ -66,11 +66,14 @@ def _on_full_grid(f, x, y):
 
 
 def integrate_2d_full_grid(rule, f):
-    """avgkernel.tensor_quad.integrate_2d with f called on two k x k grids.
+    """avgkernel.tensor_quad.integrate_2d with f called on two k x k grids
+    and the row sums taken in one matrix-vector product.
 
-    The package passes f the node column and row instead, so per-node work
-    in f runs k times, not k*k; the elementwise values and the contraction
-    w @ (vals @ w) are the same, so both must give the same sum.
+    The package passes f a block of the node column and the node row
+    instead, and sums the rows block by block, so per-node work in f runs
+    about k times, not k*k, and no k x k array is formed; the elementwise
+    values and each row's sum are the same, so both must give the same
+    w @ (vals @ w) bit for bit.
     """
     vals = _on_full_grid(f, rule.nodes[:, None], rule.nodes[None, :])
     return float(rule.weights @ (vals @ rule.weights))

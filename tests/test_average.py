@@ -100,14 +100,16 @@ def test_average_kernel_rejects_bad_u():
     "(x^(1/6)+y^(1/6))*(x^(1/3)+y^(1/3))",
 ])
 def test_column_and_row_evaluation_matches_full_grid_bitwise(kernel, cache_dir):
-    # the kernel gets a node column and row, not two full grids; every
-    # element and the summation order are unchanged, so the sums are equal
+    # the kernel gets a block of the node column and the node row, not two
+    # full grids; every element and each row's summation order are
+    # unchanged, so the sums are equal.  Orders from 257 on take several
+    # blocks of rows, the last one short
     spec = builtin_kernel(kernel) if kernel.isalpha() else parse_kernel(kernel)
 
     def f(x, y):
         return eval_kernel(spec, x, y)
 
-    for k in (1, 2, 37, 120, 361):
+    for k in (1, 2, 37, 120, 257, 361, 1024, 1447, 2000):
         rule = load_or_compute_rule(k, cache_dir)
         assert integrate_2d(rule, f) == integrate_2d_full_grid(rule, f)
 

@@ -470,6 +470,23 @@ def test_check_imports_only_what_it_runs(fmt, json_loaded):
     assert cp.stderr == f"0 False {json_loaded}\n"
 
 
+_OPENSSL_IN_CHILD = """\
+import sys
+preloaded = "_hashlib" in sys.modules
+from avgkernel import cli
+# the first run writes the cache files' checksums, the second checks them
+rcs = [cli.main(["table3", "--max-points", "21", "--cache-dir", {cache!r}]) for _ in range(2)]
+print(*rcs, "_hashlib" in sys.modules and not preloaded, file=sys.stderr)
+"""
+
+
+def test_table3_does_not_load_openssl(tmp_path):
+    # the cache is hashed with CPython's own SHA-256, not hashlib's OpenSSL
+    code = _OPENSSL_IN_CHILD.format(cache=str(tmp_path / "cache"))
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert cp.stderr == "0 0 False\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["converge", "--kernel", "SC", "--max-points", "60", "--fit-window", "20:5"],
     ["report", "--kernel", "x y"],

@@ -259,6 +259,13 @@ def test_cache_files_match_frozen_digests(tmp_path):
         assert _same_rule(load_or_compute_rule(k, tmp_path), rule)
 
 
+def test_checksum_line_is_the_sha256_of_the_body():
+    # the cache hashes with CPython's own SHA-256, which must give hashlib's digest
+    data = rules._serialize_rule(compute_rule(37))
+    pos = data.rindex(b"# sha256=")
+    assert data[pos:] == f"# sha256={hashlib.sha256(data[:pos]).hexdigest()}\n".encode("ascii")
+
+
 def test_high_order_tail_weights_flush_to_zero():
     rule = compute_rule(400)
     zero = np.flatnonzero(rule.weights == 0.0)
@@ -491,7 +498,12 @@ def test_default_cache_dir_env(monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg")
     assert default_cache_dir() == os.path.join("/tmp/xdg", "avgkernel")
     monkeypatch.delenv("XDG_CACHE_HOME")
-    assert default_cache_dir().endswith(os.path.join(".cache", "avgkernel"))
+    home = default_cache_dir()
+    assert home == os.path.join(os.path.expanduser("~"), ".cache", "avgkernel")
+    # the XDG Base Directory spec makes a relative path invalid: it is ignored
+    for relative in ("xdg", "./xdg", ""):
+        monkeypatch.setenv("XDG_CACHE_HOME", relative)
+        assert default_cache_dir() == home
 
 
 def test_rule_dataclass_fields():

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from avgkernel import tensor_quad
 from avgkernel.kernels import builtin_kernel, eval_kernel
 from avgkernel.rules import load_or_compute_rule
 from avgkernel.tensor_quad import IntegrandError, convergence_series, integrate_2d, load_rules
@@ -100,6 +102,38 @@ def test_integrand_error_at_flushed_weight_names_pair(cache_dir):
 
     with pytest.raises(IntegrandError, match=rf"is nan at node pair \({i + 1}, 3\)"):
         integrate_2d(rule, f)
+
+
+def test_integrand_error_in_a_later_block_names_the_global_pair(cache_dir):
+    rule = load_or_compute_rule(1447, cache_dir)
+    i = 3 * tensor_quad._block_rows(1447) + 5
+    bx, by = rule.nodes[i], rule.nodes[700]
+
+    def f(x, y):
+        return np.where((x == bx) & (y == by), -np.inf, 1.0)
+
+    with pytest.raises(IntegrandError, match=rf"is -inf at node pair \({i + 1}, 701\)"):
+        integrate_2d(rule, f)
+
+
+@pytest.mark.parametrize("k", [1, 64, 120, 361, 1024, 1025, 1447, 2000])
+def test_blocks_are_whole_multiples_of_64_rows(k):
+    rows = tensor_quad._block_rows(k)
+    assert rows >= 64 and rows % 64 == 0
+    assert rows * k <= tensor_quad._BLOCK_VALUES or rows == 64
+
+
+def test_2d_sum_memory_stays_within_a_block(cache_dir):
+    # the whole k x k grid of the order-2000 sum would take 32 MB per array
+    spec = builtin_kernel("SD")
+    rule = load_or_compute_rule(2000, cache_dir)
+    tracemalloc.start()
+    try:
+        integrate_2d(rule, lambda x, y: eval_kernel(spec, x, y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("kernel", ["FM", "CR", "SC", "SD"])
