@@ -206,8 +206,8 @@ class _Parser:
     def parse_primary(self):
         kind, value, _ = self.peek()
         if kind == "num":
-            self.advance()
-            return ("num", float(value))
+            # an overflowing literal fails here as in the q= prefix
+            return ("num", self.parse_number_literal())
         if kind == "name" and value in ("x", "eta"):
             self.advance()
             return ("var", "x")

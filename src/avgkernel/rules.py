@@ -9,12 +9,12 @@ of one.  A node stops when its Newton step reaches the rounding noise or
 stalls; a group whose nodes are not all converged, or not spaced like
 their seeds, raises ConvergenceError.  The weights come from L_k'
 at the same degree.  Rules are cached on disk as one checksummed file per
-order, whose rows hold each node's and weight's IEEE-754 bits in hex.
+order: a text header, then each node and its weight as little-endian
+IEEE-754 doubles, then a text line with the SHA-256 of all before it.
 """
 
 from __future__ import annotations
 
-import binascii
 import os
 import re
 import sys
@@ -38,12 +38,12 @@ except ImportError:
 
 _MIN_NORMAL = sys.float_info.min
 
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 _HEADER_RE = re.compile(
     rf"# gauss-laguerre order=(\d+) flushed=(\d+) version={_FORMAT_VERSION}$".encode("ascii"))
 _CHECKSUM_MARKER = b"# sha256="
-# a cache row: 16 hex digits, a comma, 16 hex digits and a newline
-_ROW_LEN = 34
+# the last line of a cache file: the marker, 64 hex digits and a newline
+_TRAILER_LEN = len(_CHECKSUM_MARKER) + 64 + 1
 
 
 class ConvergenceError(RuntimeError):
@@ -218,39 +218,29 @@ def compute_rule(k: int) -> QuadratureRule:
     return compute_rules([k])[0]
 
 
+def _trailer(body: bytes) -> bytes:
+    return _CHECKSUM_MARKER + sha256(body).hexdigest().encode("ascii") + b"\n"
+
+
 def _serialize_rule(rule: QuadratureRule) -> bytes:
     flushed = int(np.count_nonzero(rule.weights == 0.0))
-    # one row per node: the big-endian bits of the node and of its weight
-    bits = np.column_stack([rule.nodes, rule.weights]).astype(">f8").tobytes()
-    rows = bytearray(bits.hex(",", 8).encode("ascii") + b",")
-    rows[_ROW_LEN - 1::_ROW_LEN] = b"\n" * rule.order
     body = (f"# gauss-laguerre order={rule.order} flushed={flushed} version={_FORMAT_VERSION}\n"
-            .encode("ascii") + rows)
-    return body + _CHECKSUM_MARKER + sha256(body).hexdigest().encode("ascii") + b"\n"
+            .encode("ascii") + np.column_stack([rule.nodes, rule.weights]).astype("<f8").tobytes())
+    return body + _trailer(body)
 
 
 def _parse_cache_bytes(data: bytes, k: int) -> QuadratureRule:
-    pos = data.rfind(_CHECKSUM_MARKER)
-    if pos < 0:
-        raise _CorruptCache("missing checksum line")
-    body = data[:pos]
-    claimed = data[pos + len(_CHECKSUM_MARKER):].strip()
-    if sha256(body).hexdigest().encode("ascii") != claimed:
+    body = data[:-_TRAILER_LEN]
+    # a file shorter than the trailer leaves an empty body and a short trailer
+    if data[len(body):] != _trailer(body):
         raise _CorruptCache("checksum mismatch")
-    header, _, rows = body.partition(b"\n")
+    header, _, pairs = body.partition(b"\n")
     m = _HEADER_RE.match(header)
     if m is None or int(m.group(1)) != k:
         raise _CorruptCache("bad header")
-    if (len(rows) != _ROW_LEN * k or rows[16::_ROW_LEN] != b"," * k
-            or rows[_ROW_LEN - 1::_ROW_LEN] != b"\n" * k):
-        raise _CorruptCache("bad rows: not two 16-digit fields per line")
-    try:
-        # a comma or newline inside a field leaves too few digits: an odd
-        # count fails unhexlify, an even one the reshape
-        bits = binascii.unhexlify(rows.replace(b",", b"").replace(b"\n", b""))
-        pairs = np.frombuffer(bits, ">f8").reshape(k, 2)
-    except ValueError as exc:
-        raise _CorruptCache(f"bad row: {exc}") from exc
+    if len(pairs) != 16 * k:
+        raise _CorruptCache("body is not 16 bytes per node")
+    pairs = np.frombuffer(pairs, "<f8").reshape(k, 2)
     # each column in a native array of its own, allocated as a one-order build's are
     nodes, weights = pairs[:, 0].astype(np.float64), pairs[:, 1].astype(np.float64)
     if int(m.group(2)) != int(np.count_nonzero(weights == 0.0)):

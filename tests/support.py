@@ -8,10 +8,13 @@ which must reproduce them bit for bit.  The Euler-identity residual checks
 a kernel's declared degree of homogeneity by finite differences.  The
 sample loops are the one-pair-at-a-time forms of the kernel sampling that
 parse_kernel does in array calls, which must give the same degree, warning
-and exception.
+and exception.  version_4_file writes a rule as the rule cache's format
+version 4 held it, for the tests that a newer reader rebuilds such a file.
 """
 
+import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -135,3 +138,14 @@ def symmetry_warning_loop(spec: KernelSpec) -> str | None:
     if worst > 1e-10:
         return f"asymmetric: relative difference {worst:.3e} at {where}"
     return None
+
+
+def version_4_file(rule) -> str:
+    """The cache file of rule in format version 4: after the header, one
+    row per node of the big-endian IEEE-754 bits of the node and of its
+    weight in hex, then the SHA-256 of all before it."""
+    flushed = sum(1 for w in rule.weights if w == 0.0)
+    rows = "".join(f"{struct.pack('>d', x).hex()},{struct.pack('>d', w).hex()}\n"
+                   for x, w in zip(rule.nodes, rule.weights))
+    body = f"# gauss-laguerre order={rule.order} flushed={flushed} version=4\n{rows}"
+    return f"{body}# sha256={hashlib.sha256(body.encode('ascii')).hexdigest()}\n"

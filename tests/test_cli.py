@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from avgkernel import average, cli, rules, tensor_quad
+from support import version_4_file
 
 
 def run_cli(*args, cache=None):
@@ -291,6 +292,41 @@ def test_table3_loads_each_order_once(tmp_path, monkeypatch, capsys):
         f"glq_{k}.csv" for k in range(1, 26))
 
 
+def test_table3_rewrites_a_version_4_cache(tmp_path, monkeypatch, capsys):
+    # a cache that an older release filled in format version 4 gives the
+    # same table, is rewritten once in the current format, and is then read
+    argv = ["table3", "--max-points", "25"]
+    assert cli.main([*argv, "--cache-dir", str(tmp_path / "fresh")]) == 0
+    fresh = capsys.readouterr().out
+    old = tmp_path / "old"
+    old.mkdir()
+    for rule in rules.compute_rules(range(1, 26)):
+        (old / f"glq_{rule.order}.csv").write_text(version_4_file(rule))
+
+    built = []
+    compute_rules, compute_rule = tensor_quad.compute_rules, rules.compute_rule
+
+    def batch(orders):
+        built.extend(orders)
+        return compute_rules(orders)
+
+    def single(k):
+        built.append(k)
+        return compute_rule(k)
+
+    monkeypatch.setattr(tensor_quad, "compute_rules", batch)
+    monkeypatch.setattr(rules, "compute_rule", single)
+    assert cli.main([*argv, "--cache-dir", str(old)]) == 0
+    assert capsys.readouterr().out == fresh
+    assert built == list(range(1, 26))
+    for k in range(1, 26):
+        assert (old / f"glq_{k}.csv").read_bytes() == (tmp_path / "fresh" / f"glq_{k}.csv").read_bytes()
+    built.clear()
+    assert cli.main([*argv, "--cache-dir", str(old)]) == 0
+    assert capsys.readouterr().out == fresh
+    assert built == []
+
+
 @pytest.mark.parametrize("k_max", ["21", "60"])
 def test_table3_p_is_the_series_p(k_max, capsys):
     # table3 sums order k alone; its p is bitwise the p of the full series
@@ -553,12 +589,14 @@ def test_check_rejects_non_homogeneous():
 @pytest.mark.parametrize("command", ["report", "check"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_degree_exits_2(command, fmt, cache_dir, capsys):
-    argv = [command, "--kernel", "q=1e400; x*y/(x+y)", "--max-points", "30",
-            "--format", fmt, "--cache-dir", cache_dir]
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "expected a finite number" in captured.err
+    # an overflowing number in the q= prefix or in the expression body
+    for kernel in ("q=1e400; x*y/(x+y)", "1e400*x*y/(x+y)"):
+        argv = [command, "--kernel", kernel, "--max-points", "30",
+                "--format", fmt, "--cache-dir", cache_dir]
+        assert cli.main(argv) == 2, kernel
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a finite number" in captured.err
 
 
 NESTED_TOO_DEEPLY = ("avgkernel: kernel expression nested too deeply"

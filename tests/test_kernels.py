@@ -184,11 +184,14 @@ def test_parse_error_reports_offset():
 
 
 def test_explicit_degree_must_be_finite():
-    for text, offset in (("q=1e400; x*y/(x+y)", 2), ("q=-1e400; x*y", 3)):
+    # in the q= prefix and in the expression alike; 1e-400 underflows to 0.0
+    for text, offset in (("q=1e400; x*y/(x+y)", 2), ("q=-1e400; x*y", 3),
+                         ("1e400*x", 0), ("q=1; x*1e400", 7)):
         with pytest.raises(KernelSyntaxError) as info:
             parse_kernel(text)
         assert info.value.offset == offset
         assert info.value.expected == ("a finite number",)
+    assert parse_kernel("1e-400 + x*y").source == ("+", ("num", 0.0), ("*", ("var", "x"), ("var", "y")))
 
 
 # homogeneous, asymmetric, non-homogeneous, not positive, and not finite at

@@ -19,6 +19,7 @@ from avgkernel.rules import (
     default_cache_dir,
     load_or_compute_rule,
 )
+from support import version_4_file
 
 # sha256 of the little-endian bytes of the nodes and of the weights that
 # compute_rules built for these orders when its weights were first taken
@@ -31,11 +32,11 @@ FROZEN_RULE_SHA256 = {
     361: ("66ab6b2f5df66b5e140ce79cec4b5f787d66729441c7431a066f69216c6b89c2",
           "f4ca01d85ef42488ff0de3dfa85c0d1610127a4675ff4e9f0e65ece2bc7d2d84"),
 }
-# sha256 of the cache files (format version 4) of the same rules
+# sha256 of the cache files (format version 5) of the same rules
 FROZEN_FILE_SHA256 = {
-    10: "d1f538f75bf46ab770c824a7bb73ce59fbb281d1f25044e0a2d595c950e92a68",
-    120: "8679f9d91de1b5686519b9517f63c29d5dc6a133850f0d19298e6bab7c3f3229",
-    361: "351ddd062e91adc91e001420a98502f24df6d51f5ed357ae966feaa59417c8ab",
+    10: "37e9d3a8e59a466f09c28b4fe8286f625708ac24072c8c73eb7c433f30644c5b",
+    120: "cbd0f6389dfc2e84736594b791f945499213e767982801aff63227453a3f8dc8",
+    361: "9e72194a39a3cb631dd9508327105180a5b739947102a4ec73adf914a1ae934c",
 }
 # the order-2 cache file as format version 3 wrote it, in decimal
 VERSION_3_ORDER_2 = (
@@ -44,6 +45,15 @@ VERSION_3_ORDER_2 = (
     "3.4142135623730949e0,1.4644660940672624e-1\n"
     "# sha256=c125dd6f6213f083205fc8a2e46619c9a98547f134422dbe9d65c2c567789e2b\n"
 )
+# the order-2 cache file as format version 4 wrote it, in hex
+VERSION_4_ORDER_2 = (
+    "# gauss-laguerre order=2 flushed=0 version=4\n"
+    "3fe2bec333018867,3feb504f333f9de5\n"
+    "400b504f333f9de6,3fc2bec333018867\n"
+    "# sha256=20ae15ba8a37f7209927710d234abf209277ae02a6e608d50a8feeb6239cb887\n"
+)
+# a cache file ends in "# sha256=", 64 hex digits and a newline
+TRAILER_LEN = 74
 
 # ten-point reference values, nodes and leading weights truncated to four
 # decimals, trailing weights to two significant figures
@@ -203,13 +213,14 @@ def test_unconverged_or_doubled_zeros_raise(monkeypatch):
         compute_rule(30)
 
 
-def _to_bits(v: float) -> str:
-    """A cache field: the big-endian IEEE-754 bits of v in hex."""
-    return struct.pack(">d", v).hex()
+def _pairs(nodes, weights) -> bytes:
+    """A cache file's body: each node and its weight as little-endian doubles."""
+    return b"".join(struct.pack("<2d", x, w) for x, w in zip(nodes, weights))
 
 
-def _from_bits(field: str) -> float:
-    return struct.unpack(">d", bytes.fromhex(field))[0]
+def _signed(body: bytes) -> bytes:
+    """body followed by the checksum line of a valid cache file."""
+    return body + f"# sha256={hashlib.sha256(body).hexdigest()}\n".encode("ascii")
 
 
 def _same_rule(a, b):
@@ -321,19 +332,20 @@ def test_rules_are_read_only(tmp_path):
 
 def test_cache_file_layout(tmp_path):
     rule = load_or_compute_rule(3, tmp_path)
-    lines = (tmp_path / "glq_3.csv").read_text().splitlines()
-    assert lines[0] == "# gauss-laguerre order=3 flushed=0 version=4"
-    assert len(lines) == 5
-    assert lines[-1].startswith("# sha256=")
-    for row, x, w in zip(lines[1:4], rule.nodes, rule.weights):
-        # the big-endian IEEE-754 bits of the node and of its weight
-        assert row == f"{_to_bits(x)},{_to_bits(w)}"
+    data = (tmp_path / "glq_3.csv").read_bytes()
+    header = b"# gauss-laguerre order=3 flushed=0 version=5\n"
+    assert data.startswith(header)
+    body = data[len(header):-TRAILER_LEN]
+    # 16 bytes per node: the little-endian IEEE-754 node, then its weight
+    assert len(body) == 16 * 3
+    assert body == _pairs(rule.nodes, rule.weights)
+    assert data == _signed(data[:-TRAILER_LEN])
 
 
 def test_version_1_cache_file_is_rebuilt(tmp_path, monkeypatch):
     load_or_compute_rule(5, tmp_path)
     path = tmp_path / "glq_5.csv"
-    current = path.read_text()
+    current = path.read_bytes()
 
     builds = []
     compute = rules.compute_rule
@@ -344,25 +356,31 @@ def test_version_1_cache_file_is_rebuilt(tmp_path, monkeypatch):
 
     monkeypatch.setattr(rules, "compute_rule", counted)
     # versions 1 and 2 hold the rules of older builders, off in the last
-    # digits; versions 1 to 3 hold decimal rows
-    for old in (1, 2, 3):
-        body = current[: current.rfind("# sha256=")].replace("version=4", f"version={old}")
-        path.write_text(f"{body}# sha256={hashlib.sha256(body.encode('ascii')).hexdigest()}\n")
+    # digits; versions 1 to 3 hold decimal rows and version 4 hex ones.
+    # Each is rebuilt once, and the rebuilt file is then read.
+    for old in (1, 2, 3, 4):
+        body = current[:-TRAILER_LEN].replace(b"version=5", f"version={old}".encode("ascii"), 1)
+        path.write_bytes(_signed(body))
         builds.clear()
         load_or_compute_rule(5, tmp_path)
-        assert builds == [5]
-        assert path.read_text() == current
+        assert builds == [5], old
+        assert path.read_bytes() == current
+        load_or_compute_rule(5, tmp_path)
+        assert builds == [5], old
 
-    # a real version 3 file, valid in its own format, is rebuilt once
+    # real version 3 and 4 files, valid in their own formats; the version 4
+    # writer that other tests fill whole caches with writes the same file
+    assert version_4_file(compute(2)) == VERSION_4_ORDER_2
     path = tmp_path / "glq_2.csv"
-    path.write_text(VERSION_3_ORDER_2)
-    builds.clear()
-    rule = load_or_compute_rule(2, tmp_path)
-    assert builds == [2]
-    assert _same_rule(rule, compute(2))
-    assert path.read_text().startswith("# gauss-laguerre order=2 flushed=0 version=4\n")
-    load_or_compute_rule(2, tmp_path)
-    assert builds == [2]
+    for old, text in ((3, VERSION_3_ORDER_2), (4, VERSION_4_ORDER_2)):
+        path.write_text(text)
+        builds.clear()
+        rule = load_or_compute_rule(2, tmp_path)
+        assert builds == [2], old
+        assert _same_rule(rule, compute(2))
+        assert path.read_bytes().startswith(b"# gauss-laguerre order=2 flushed=0 version=5\n")
+        assert _same_rule(load_or_compute_rule(2, tmp_path), rule)
+        assert builds == [2], old
 
 
 def test_cache_hit_skips_recompute(tmp_path, monkeypatch):
@@ -379,59 +397,51 @@ def test_cache_hit_skips_recompute(tmp_path, monkeypatch):
 def test_cache_corruption_recovers(tmp_path):
     good = load_or_compute_rule(6, tmp_path)
     path = tmp_path / "glq_6.csv"
-    text = path.read_text()
-    # one hex digit of the second row's node, flipped in its low bit
-    pos = text.index("\n") + 1 + 34 + 9
-    flipped = f"{text[:pos]}{int(text[pos], 16) ^ 1:x}{text[pos + 1:]}"
-    assert flipped != text and flipped.count("\n") == text.count("\n")
+    data = path.read_bytes()
+    header_len = data.index(b"\n") + 1
+    # the lowest bit of the second node's double
+    flipped = bytearray(data)
+    flipped[header_len + 16] ^= 1
 
     for broken in (
-        flipped,                                  # checksum mismatch
-        text.replace("order=6", "order=7"),       # header tamper
-        "\n".join(text.splitlines()[:4]) + "\n",  # truncated
-        "",
+        bytes(flipped),                            # checksum mismatch
+        data.replace(b"order=6", b"order=7", 1),  # header tamper
+        data[: header_len + 16 * 4],               # truncated
+        b"",
     ):
-        path.write_text(broken)
+        path.write_bytes(broken)
         rule = load_or_compute_rule(6, tmp_path)
         assert rule.nodes.tobytes() == good.nodes.tobytes()
         # the bad file was replaced with a clean one
-        assert path.read_text() == text
+        assert path.read_bytes() == data
 
 
-def test_malformed_rows_behind_a_valid_checksum_are_rebuilt(tmp_path):
+def test_malformed_body_behind_a_valid_checksum_is_rebuilt(tmp_path):
     good = load_or_compute_rule(4, tmp_path)
     path = tmp_path / "glq_4.csv"
-    text = path.read_text()
-    body = text[: text.rfind("# sha256=")]
-    header, *rows = body.splitlines()
-    node, weight = rows[1].split(",")
-    broken = ["\n".join([header, rows[0], row, *rows[2:]]) + "\n" for row in (
-        node,                      # one field
-        "",                        # blank line
-        f"{node},,{weight}",       # empty field
-        f"{node}x,{weight}",       # trailing junk
-        f"{node}\x00,{weight}",    # NUL byte
-        f"0x1p-1,{weight}",        # hexadecimal float
-        f"{node};{weight}",        # wrong separator
-        f"{node[:15]},{weight}",   # a field of 15 digits
-        f"{node}0,{weight}",       # a field of 17 digits
-        f"{node[:15]},{node[15]}{weight}",    # the same digits, the comma moved
-        f"{node[:8]} {node[9:]},{weight}",    # a space inside a field
-        f"{node[:8]} {node[9:15]} ,{weight}",  # two, at byte boundaries
-        f"{node[:15]}g,{weight}",  # a non-hex digit
-        # the same row as version 3 wrote it
-        f"{format_float(_from_bits(node))},{format_float(_from_bits(weight))}",
+    data = path.read_bytes()
+    header, _, pairs = data[:-TRAILER_LEN].partition(b"\n")
+    header += b"\n"
+    assert len(pairs) == 16 * 4
+    broken = [_signed(body) for body in (
+        header + pairs[:-1],           # one byte short
+        header + pairs + b"\0",        # one byte extra
+        header + pairs[:-16],          # three nodes under an order=4 header
+        header + pairs + pairs[:16],   # five nodes under it
+        header + np.frombuffer(pairs, "<f8").astype(">f8").tobytes(),  # big-endian pairs
+        header + version_4_file(good).encode("ascii").split(b"\n", 1)[1][:-TRAILER_LEN],  # hex rows
+        pairs,                         # no header
+        b"",                           # the checksum line alone
     )]
-    # two rows on one line, with a blank between them
-    broken.append(body.replace(f"{rows[1]}\n", f"{rows[1]} "))
-    # the same digits, a newline moved one place to the left
-    broken.append(body.replace(f"{rows[1]}\n", f"{rows[1][:-1]}\n{rows[1][-1]}"))
+    # a file shorter than its trailer
+    broken.append(broken[-1][1:])
     for body in broken:
-        digest = hashlib.sha256(body.encode("ascii")).hexdigest()
-        path.write_text(f"{body}# sha256={digest}\n")
+        path.write_bytes(body)
+        with pytest.raises(rules._CorruptCache):
+            rules._parse_cache_bytes(body, 4)
         rule = load_or_compute_rule(4, tmp_path)
         assert _same_rule(rule, good), repr(body)
-        assert path.read_text() == text
+        assert path.read_bytes() == data
 
 
 def test_wrong_flushed_count_behind_a_valid_checksum_is_rebuilt(tmp_path):
@@ -441,15 +451,14 @@ def test_wrong_flushed_count_behind_a_valid_checksum_is_rebuilt(tmp_path):
         flushed = int(np.count_nonzero(good.weights == 0.0))
         assert (flushed > 0) == (k == 400)
         path = tmp_path / f"glq_{k}.csv"
-        text = path.read_text()
+        data = path.read_bytes()
         for wrong in {flushed - 1, flushed + 1} - {-1}:
-            body = text[: text.rfind("# sha256=")].replace(
-                f" flushed={flushed} ", f" flushed={wrong} ", 1)
-            path.write_text(f"{body}# sha256={hashlib.sha256(body.encode('ascii')).hexdigest()}\n")
+            header = f"# gauss-laguerre order={k} flushed={wrong} version=5\n".encode("ascii")
+            path.write_bytes(_signed(header + _pairs(good.nodes, good.weights)))
             with pytest.raises(rules._CorruptCache, match="flushed count mismatch"):
                 rules._parse_cache_bytes(path.read_bytes(), k)
             assert _same_rule(load_or_compute_rule(k, tmp_path), good)
-            assert path.read_text() == text
+            assert path.read_bytes() == data
 
 
 @pytest.mark.parametrize("problem, column, index, value", [
@@ -463,23 +472,21 @@ def test_wrong_flushed_count_behind_a_valid_checksum_is_rebuilt(tmp_path):
 def test_invariant_failures_behind_a_valid_checksum_are_rebuilt(
         tmp_path, problem, column, index, value):
     # one entry of an order-60 rule changed so that the rule fails one
-    # check of _invariant_problem, written as a valid version 4 file
+    # check of _invariant_problem, written as a valid version 5 file
     good = load_or_compute_rule(60, tmp_path)
     path = tmp_path / "glq_60.csv"
-    text = path.read_text()
+    data = path.read_bytes()
     columns = [good.nodes.copy(), good.weights.copy()]
     columns[column][index] = value(columns[column])
     assert rules._invariant_problem(60, *columns) == problem
-    header = text.splitlines()[0]
-    body = "".join([f"{header}\n", *(f"{_to_bits(x)},{_to_bits(w)}\n" for x, w in zip(*columns))])
-    digest = hashlib.sha256(body.encode("ascii")).hexdigest()
-    path.write_text(f"{body}# sha256={digest}\n")
+    header = data[: data.index(b"\n") + 1]
+    path.write_bytes(_signed(header + _pairs(*columns)))
     with pytest.raises(rules._CorruptCache) as excinfo:
         rules._parse_cache_bytes(path.read_bytes(), 60)
     assert str(excinfo.value) == problem
     rule = load_or_compute_rule(60, tmp_path)
     assert _same_rule(rule, good)
-    assert path.read_text() == text
+    assert path.read_bytes() == data
 
 
 def test_cache_disabled_writes_nothing(tmp_path):
