@@ -20,7 +20,7 @@ import numpy as np
 from .extrapolate import Fit, full_report
 from .kernels import KernelSpec, eval_kernel
 from .rules import QuadratureRule
-from .tensor_quad import convergence_series
+from . import tensor_quad
 
 
 class ResolutionError(RuntimeError):
@@ -53,13 +53,15 @@ class AverageKernelResult:
 
 def pre_exponential_factor(spec: KernelSpec, rules: list[QuadratureRule],
                            fit_window=None) -> AverageKernelResult:
-    """Run the kernel's convergence series over rules (from load_rules)
-    and its fit; p is half the value of the last rule.  Every command that
-    prints a series, p or a remainder runs this.
+    """Sum the kernel over each of rules (from load_rules), the series,
+    and fit it; p is half the last sum.  Every command that prints a
+    series, p or a remainder runs this, and nothing else sums a series.
     """
     if spec.degree_q is None:
         raise ValueError("kernel has no homogeneity degree set")
-    values = convergence_series(lambda x, y: eval_kernel(spec, x, y), rules)
+    f = lambda x, y: eval_kernel(spec, x, y)
+    # looked up on the module at call time, so a wrapper set on it sees every sum
+    values = [tensor_quad.integrate_2d(rule, f) for rule in rules]
     return AverageKernelResult(spec.label, spec.degree_q, values,
                                full_report(values, fit_window))
 

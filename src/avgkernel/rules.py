@@ -74,8 +74,8 @@ def _read_only_rule(order: int, nodes: np.ndarray, weights: np.ndarray) -> Quadr
 
 
 def _invariant_problem(order: int, nodes: np.ndarray, weights: np.ndarray) -> str | None:
-    if len(nodes) != order or len(weights) != order:
-        return "wrong number of nodes or weights"
+    # both callers pass order nodes and weights: the group split by order,
+    # or a cache body already checked to be 16 bytes per node
     if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
         return "non-finite entries"
     if nodes[0] <= 0.0:

@@ -1,4 +1,4 @@
-"""Tensor-product 2D Gauss-Laguerre quadrature and the order-by-order series.
+"""Tensor-product 2D Gauss-Laguerre quadrature.
 
 Only square rules (the same order on both axes) are supported.  The double
 sum is contracted as w @ (vals @ w), with the kernel values and their row
@@ -7,6 +7,7 @@ block is formed at any order: about 2**16 values (0.5 MB), or 64 rows
 above order 1024 (1 MB at order 2000).  Its summation order is the BLAS
 library's, fixed for one library and CPU: repeated runs on one machine
 are bitwise identical, another BLAS build may differ in the last bits.
+integrate_2d raises every failure of a sum, naming the rule's order.
 load_rules reads or builds the rules of the orders given, once each, and
 every series a command runs over them shares that list.
 """
@@ -27,7 +28,7 @@ _BLOCK_VALUES = 1 << 16
 
 
 class IntegrandError(ArithmeticError):
-    """The integrand returned a non-finite value at a quadrature node."""
+    """A kernel value at a quadrature node, or the double sum, is not finite."""
 
 
 def integrate_2d(rule: QuadratureRule, f) -> float:
@@ -39,7 +40,8 @@ def integrate_2d(rule: QuadratureRule, f) -> float:
     block, which is broadcast to the block's shape; exceptions it raises
     propagate.  Every value is checked to be finite, also where a weight has
     underflowed to 0, before the block's row sums sum_j f(x_i, x_j) A_j are
-    taken; the sum is then sum_i A_i times those, w @ (vals @ w).
+    taken; the sum is then sum_i A_i times those, w @ (vals @ w), and must
+    be finite too.  Either failure raises IntegrandError, naming order k.
     """
     k, nodes, w = rule.order, rule.nodes, rule.weights
     rows = _block_rows(k)
@@ -51,11 +53,14 @@ def integrate_2d(rule: QuadratureRule, f) -> float:
         if not np.all(np.isfinite(vals)):
             i, j = np.argwhere(~np.isfinite(vals))[0]
             raise IntegrandError(
-                f"integrand is {vals[i, j]} at node pair ({lo + i + 1}, {j + 1})"
+                f"order {k}: integrand is {vals[i, j]} at node pair ({lo + i + 1}, {j + 1})"
                 f" (x = {float(nodes[lo + i])!r}, y = {float(nodes[j])!r})"
             )
         row_sums[lo:lo + len(x)] = vals @ w
-    return float(w @ row_sums)
+    q = float(w @ row_sums)
+    if not math.isfinite(q):
+        raise IntegrandError(f"order {k}: quadrature value is {q}")
+    return q
 
 
 def _block_rows(k: int) -> int:
@@ -80,17 +85,3 @@ def load_rules(orders, cache_dir) -> list[QuadratureRule]:
     uncached = uncached_orders(orders, cache_dir)
     built = dict(zip(uncached, compute_rules(uncached)))
     return [load_or_compute_rule(k, cache_dir, built.get(k)) for k in orders]
-
-
-def convergence_series(f, rules: list[QuadratureRule]) -> list[float]:
-    """Q_{k,k} for each rule, all finite, in the order of rules."""
-    values = []
-    for rule in rules:
-        try:
-            q = integrate_2d(rule, f)
-        except IntegrandError as exc:
-            raise IntegrandError(f"order {rule.order}: {exc}") from exc
-        if not math.isfinite(q):
-            raise IntegrandError(f"order {rule.order}: quadrature value is {q}")
-        values.append(q)
-    return values

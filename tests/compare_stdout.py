@@ -14,7 +14,8 @@ position), the label of a "#" trailer line, or a json key path; "text"
 marks a field whose non-numeric value, or number of values, changed.
 "stdout text" marks any change of the output other than in its numbers,
 and "stderr text" a change of standard error.  The last line counts the
-invocations that differ.
+invocations that differ.  The exit code is 0 when none differs, 1 when
+any does, and 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def main() -> int:
                 differ += 1
                 print(f"diff {shown(args)}: {describe(old, new)}", flush=True)
     print(f"# {differ} of {total} invocations differ")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -14,10 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from avgkernel.extrapolate import fit_slope, full_report, remainder_estimate
+from avgkernel.average import pre_exponential_factor
+from avgkernel.extrapolate import fit_slope, remainder_estimate
 from avgkernel.kernels import builtin_kernel, eval_kernel, homogeneity_degree
 from avgkernel.rules import compute_rule, load_or_compute_rule
-from avgkernel.tensor_quad import convergence_series, load_rules
+from avgkernel.tensor_quad import load_rules
 from support import euler_identity_residual
 
 KERNEL_IDS = ("FM", "CR", "SC", "SD")
@@ -64,9 +65,8 @@ def full_scale(cache_dir):
     rules = load_rules(range(1, 362), cache_dir)
     fits = {}
     for kid in KERNEL_IDS:
-        spec = builtin_kernel(kid)
-        values = convergence_series(lambda x, y, s=spec: eval_kernel(s, x, y), rules)
-        fits[kid] = (values[-1], full_report(values))
+        result = pre_exponential_factor(builtin_kernel(kid), rules)
+        fits[kid] = (result.values[-1], result.fit)
     return fits, time.perf_counter() - start
 
 

@@ -18,7 +18,7 @@ from avgkernel import average
 from avgkernel.extrapolate import Fit, error_sequence, fit_slope, full_report
 from avgkernel.kernels import builtin_kernel, eval_kernel, parse_kernel
 from avgkernel.rules import load_or_compute_rule
-from avgkernel.tensor_quad import convergence_series, integrate_2d, load_rules
+from avgkernel.tensor_quad import integrate_2d, load_rules
 from support import integrate_2d_full_grid
 
 # closed forms precomputed with a 50-digit library: 2 + 6*gamma(5/3)*gamma(4/3)
@@ -46,7 +46,7 @@ def test_factor_is_half_the_report(cache_dir):
     spec = builtin_kernel("SC")
     rules = load_rules(range(1, 26), cache_dir)
     result = pre_exponential_factor(spec, rules)
-    values = convergence_series(lambda x, y: eval_kernel(spec, x, y), rules)
+    values = [integrate_2d(rule, lambda x, y: eval_kernel(spec, x, y)) for rule in rules]
     fit = full_report(values)
     assert result.values == values
     assert result.fit == fit
@@ -76,6 +76,31 @@ def test_factor_validates_inputs(cache_dir):
     spec = dataclasses.replace(builtin_kernel("SC"), degree_q=None)
     with pytest.raises(ValueError):
         pre_exponential_factor(spec, load_rules(range(1, 26), cache_dir))
+
+
+# beta = x^a y^b + x^b y^a has Q = 2 Gamma(a+1) Gamma(b+1); a is a_min, the
+# smallest non-integer exponent of x at the origin
+CLOSED_FORM_FAMILY = [(-0.8, 1), (-0.5, 1), (-1 / 3, 2), (1 / 3, 2), (0.5, 2), (1.5, 2)]
+
+
+@pytest.fixture(scope="module")
+def rules_120(cache_dir):
+    return load_rules(range(1, 121), cache_dir)
+
+
+@pytest.mark.parametrize("a, b", CLOSED_FORM_FAMILY)
+def test_error_estimate_on_the_closed_form_family(a, b, rules_120):
+    # the paper's estimate at k = 120: R within 10% of the true error
+    # (measured 0.991-1.058), C within 0.05 of -(2 + a_min) (measured
+    # 0.014), and the last difference carries the sign of the error
+    spec = parse_kernel(f"q={a + b!r}; x^({a!r})*y^{b} + x^{b}*y^({a!r})")
+    result = pre_exponential_factor(spec, rules_120)
+    exact = 2.0 * math.gamma(a + 1.0) * math.gamma(b + 1.0)
+    q_119, q_120 = result.values[-2:]
+    assert result.fit.status == "estimated"
+    assert 0.9 <= result.fit.remainder / abs(exact - q_120) <= 1.1
+    assert abs(result.fit.slope + 2.0 + a) <= 0.05
+    assert math.copysign(1.0, exact - q_120) == math.copysign(1.0, q_120 - q_119)
 
 
 def test_average_kernel_power_law():

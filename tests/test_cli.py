@@ -527,13 +527,23 @@ def test_table3_does_not_load_openssl(tmp_path):
     ["converge", "--kernel", "SC", "--max-points", "60", "--fit-window", "20:5"],
     ["report", "--kernel", "x y"],
     ["check", "--kernel", "x + y + 1"],
+    pytest.param(["converge", "--kernel", "SC", "--max-points", "60", "--fit-window", "5"],
+                 id="fit-window-without-colon"),
+    pytest.param(["converge", "--kernel", "SC", "--max-points", "60", "--fit-window", "a:b"],
+                 id="fit-window-not-integers"),
 ], ids=lambda argv: argv[0])
 def test_rejected_arguments_write_no_cache(argv, tmp_path, capsys):
     # arguments are checked before any rule is built or written
     cache = tmp_path / "cache"
     assert cli.main([*argv, "--cache-dir", str(cache)]) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
     assert not cache.exists()
+    window = argv[-1]
+    if window == "5":
+        assert captured.err == "avgkernel: fit window must be A:B, got '5'\n"
+    elif window == "a:b":
+        assert captured.err == "avgkernel: fit window must be two integers A:B, got 'a:b'\n"
 
 
 def test_unresolvable_cache_dir_exits_3(monkeypatch, capsys):
@@ -629,6 +639,8 @@ def test_beta_bar_follows_the_printed_degree(kernel, builtin, capsys):
 def test_beta_display_takes_the_printed_fraction():
     assert cli._beta_display(2.0, -5e-18) == "2.0000"
     assert cli._beta_display(2.0, 1.0 - 2.0 ** -52) == "2.0000*u"
+    # no fraction with a denominator up to 48 is within 1e-12: q as repr
+    assert cli._beta_display(2.0, 0.0123) == "2.0000*u^(0.0123)"
 
 
 def test_numeric_failure_exits_3(cache_dir):

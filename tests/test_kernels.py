@@ -182,6 +182,11 @@ def test_parse_error_reports_offset():
     assert info.value.offset == 2
     assert info.value.found == "'$'"
 
+    with pytest.raises(KernelSyntaxError) as info:
+        parse_kernel("q=;x")
+    assert info.value.offset == 2
+    assert info.value.expected == ("a number",)
+
 
 def test_explicit_degree_must_be_finite():
     # in the q= prefix and in the expression alike; 1e-400 underflows to 0.0

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from avgkernel import tensor_quad
-from avgkernel.kernels import builtin_kernel, eval_kernel
-from avgkernel.rules import load_or_compute_rule
-from avgkernel.tensor_quad import IntegrandError, convergence_series, integrate_2d, load_rules
+from avgkernel import average, tensor_quad
+from avgkernel.average import pre_exponential_factor
+from avgkernel.kernels import builtin_kernel, eval_kernel, parse_kernel
+from avgkernel.rules import QuadratureRule, load_or_compute_rule
+from avgkernel.tensor_quad import IntegrandError, integrate_2d, load_rules
 
 
 def test_constant_1d(cache_dir):
@@ -86,8 +87,16 @@ def test_integrand_error_2d_names_pair(cache_dir):
     def f(x, y):
         return np.where((x == bx) & (y == by), np.inf, 1.0)
 
-    with pytest.raises(IntegrandError, match=r"node pair \(2, 5\)"):
+    with pytest.raises(IntegrandError, match=r"^order 8: integrand is inf at node pair \(2, 5\)"):
         integrate_2d(rule, f)
+
+
+def test_infinite_sum_of_finite_values_names_order():
+    # every value is finite, but 4 * 1e308 overflows
+    rule = QuadratureRule(2, np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+    with np.errstate(over="ignore"), \
+            pytest.raises(IntegrandError, match="^order 2: quadrature value is inf$"):
+        integrate_2d(rule, lambda x, y: np.full((len(x), 2), 1e308))
 
 
 def test_integrand_error_at_flushed_weight_names_pair(cache_dir):
@@ -156,7 +165,7 @@ def test_contraction_within_rounding_of_exact_sum(kernel, cache_dir):
 def test_series_structure(cache_dir):
     rules = load_rules(range(1, 7), cache_dir)
     assert [rule.order for rule in rules] == [1, 2, 3, 4, 5, 6]
-    values = convergence_series(lambda x, y: x * y, rules)
+    values = pre_exponential_factor(parse_kernel("x*y"), rules).values
     assert len(values) == 6
     assert all(math.isfinite(v) for v in values)
     # x*y is integrated exactly from order 1 on
@@ -178,11 +187,12 @@ def test_load_rules_keeps_the_given_orders(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["glq_3.csv", "glq_6.csv"]
 
 
-def test_series_names_failing_order(cache_dir):
-    def f(x, y):
+def test_series_names_failing_order(cache_dir, monkeypatch):
+    def f(spec, x, y):
         if x.shape[0] == 3:
             return np.full_like(x, np.nan)
         return np.ones_like(x)
 
+    monkeypatch.setattr(average, "eval_kernel", f)
     with pytest.raises(IntegrandError, match="^order 3:"):
-        convergence_series(f, load_rules(range(1, 6), cache_dir))
+        pre_exponential_factor(parse_kernel("x*y"), load_rules(range(1, 6), cache_dir))
