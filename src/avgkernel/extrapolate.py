@@ -18,10 +18,6 @@ import numpy as np
 FIT_ORDERS = 20
 
 
-class DivergentTailError(ArithmeticError):
-    """Slope C >= -1: the tail integral does not converge, no estimate."""
-
-
 class DegenerateFitError(ArithmeticError):
     """Fewer than two positive error entries in the fit window."""
 
@@ -71,14 +67,15 @@ def fit_slope(errors: list[float], window) -> float:
     return float(slope)
 
 
-def remainder_estimate(eps_n: float, C: float, n: int) -> float:
-    """Tail integral of the fitted power law past order n+1."""
+def remainder_estimate(eps_n: float, C: float, n: int) -> float | None:
+    """Tail integral of the fitted power law past order n+1, or None for
+    C >= -1, where the integral diverges."""
     if eps_n <= 0.0:
         raise ValueError("eps_n must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
     if C >= -1.0:
-        raise DivergentTailError(f"slope C = {C} >= -1, tail integral diverges")
+        return None
     return -eps_n * ((n + 1.0) / n) ** C * (n + 1.0) / (C + 1.0)
 
 
@@ -115,7 +112,6 @@ def full_report(values: list[float], window=None) -> Fit:
     if errors[a - 1:b].count(0.0) > (b - a + 1) / 2 or anchor == 0.0:
         return Fit("exact", window, None, None, 0.0)
     slope = fit_slope(errors, window)
-    if slope >= -1.0:
-        return Fit("divergent", window, anchor, slope, None)
-    return Fit("estimated", window, anchor, slope,
-               remainder_estimate(anchor, slope, len(errors)))
+    remainder = remainder_estimate(anchor, slope, len(errors))
+    return Fit("divergent" if remainder is None else "estimated",
+               window, anchor, slope, remainder)

@@ -11,7 +11,7 @@ at order 60, on a fresh temporary rule cache; then `table3` once more with
 caching disabled, which builds every rule in the process;
 then, again in both formats, the invocations of EDGE_CASES, which reach
 the other statuses and exit codes, the largest rule order and the paper's
-Table 3 at its default order: 80 invocations in all.
+Table 3 at its default order: 82 invocations in all.
 
 It writes tests/corpus_golden.json: for each invocation its arguments,
 exit code, standard error, standard output with every number replaced by
@@ -45,8 +45,9 @@ KERNELS = (
 # wrong declared degree (exit 1), rejected arguments (exit 2), among them
 # a degree that is not finite, the rule of the largest order accepted,
 # the only one whose build rescales the recurrence's terms, table3 at
-# its default order 361, and an asymmetric kernel, whose warning names the
-# sample pair where its two orientations differ most.
+# its default order 361, an asymmetric kernel, whose warning names the
+# sample pair where its two orientations differ most, and a kernel
+# undefined at one orientation of a sample pair only (exit 3).
 EDGE_CASES = (
     ["rule", "--points", "2000"],
     ["table3"],
@@ -64,6 +65,7 @@ EDGE_CASES = (
     *([command, "--kernel", "q=1e400; x*y/(x+y)", "--max-points", ORDER]
       for command in ("report", "check")),
     ["report", "--kernel", "q=1; abs(x-2*y)", "--max-points", ORDER],
+    ["report", "--kernel", "(x-2*y)^0.5", "--max-points", ORDER],
 )
 
 

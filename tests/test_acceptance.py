@@ -5,11 +5,13 @@ pass/fail line per criterion.  The full-scale series (order 361 for all
 four builtin kernels) is computed once per module and shared.
 """
 
+import json
 import math
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,8 +48,10 @@ REFERENCE_P = {
 DEGREES = {"FM": 1.0 / 6.0, "CR": 0.0, "SC": 1.0, "SD": 4.0 / 3.0}
 
 # closed forms 2 + 6*gamma(5/3)*gamma(4/3) and 2 + 2*gamma(4/3)*gamma(2/3),
-# precomputed with a 50-digit library
+# precomputed with a 50-digit library; FM and SD have no closed form, and
+# their Q is the 1D reduction the benchmark's references.json freezes
 EXACT_Q = {"SC": 6.836798304624581, "CR": 4.418399152312290}
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 # order-361 tensor sums of the FM and CR kernels on a 40-digit
 # Gauss-Laguerre rule, printed by tests/gen_q361.py
@@ -66,7 +70,7 @@ def full_scale(cache_dir):
     fits = {}
     for kid in KERNEL_IDS:
         result = pre_exponential_factor(builtin_kernel(kid), rules)
-        fits[kid] = (result.values[-1], result.fit)
+        fits[kid] = (result.values[-1], result.fit, result.values[-2])
     return fits, time.perf_counter() - start
 
 
@@ -95,7 +99,7 @@ def test_criterion_2_full_scale_series(full_scale):
     failures = []
     for kid in KERNEL_IDS:
         ref = REFERENCE_TABLE2[kid]
-        q, fit = fits[kid]
+        q, fit, _ = fits[kid]
         q_ref = Q_361.get(kid, ref["Q"])
         if abs(q - q_ref) > 1e-3:
             failures.append(
@@ -128,10 +132,16 @@ def test_criterion_3_remainder_formula_arithmetic():
 
 
 def test_criterion_4_closed_form_oracles(full_scale):
+    # R is the true error |Q - Q_361| to within 5% for every builtin, and
+    # the last step Q_361 - Q_360 points the way Q lies
     fits, _ = full_scale
-    for kid in ("SC", "CR"):
-        q, fit = fits[kid]
-        assert abs(q - EXACT_Q[kid]) <= 2.0 * fit.remainder, kid
+    exact = EXACT_Q | json.loads(REFERENCES.read_text(encoding="utf-8"))["q_1d"]
+    for kid in KERNEL_IDS:
+        q, fit, q_prev = fits[kid]
+        true_error = float(exact[kid]) - q
+        assert abs(true_error) <= 2.0 * fit.remainder, kid
+        assert 0.95 <= fit.remainder / abs(true_error) <= 1.05, kid
+        assert math.copysign(1.0, true_error) == math.copysign(1.0, q - q_prev), kid
 
 
 def test_criterion_5_pre_exponential_factors(full_scale):

@@ -5,7 +5,6 @@ import pytest
 from avgkernel.average import AverageKernelResult
 from avgkernel.extrapolate import (
     DegenerateFitError,
-    DivergentTailError,
     Fit,
     error_sequence,
     fit_slope,
@@ -81,11 +80,9 @@ def test_remainder_estimate_approximates_tail_sum():
     assert got == pytest.approx(direct, rel=5e-3)
 
 
-def test_remainder_estimate_rejects_divergent_tail():
-    with pytest.raises(DivergentTailError):
-        remainder_estimate(1.0, -1.0, 10)
-    with pytest.raises(DivergentTailError):
-        remainder_estimate(1.0, -0.5, 10)
+def test_remainder_estimate_is_none_for_divergent_tail():
+    assert remainder_estimate(1.0, -1.0, 10) is None
+    assert remainder_estimate(1.0, -0.5, 10) is None
 
 
 def test_remainder_estimate_rejects_bad_inputs():

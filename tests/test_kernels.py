@@ -204,7 +204,7 @@ def test_explicit_degree_must_be_finite():
 SAMPLED_KERNELS = (
     "x*y/(x+y)", "(x^(-1/3)+y^(-1/3))*(x^(2/3)+y^(2/3))", "2", "abs(x-2*y)",
     "x^3/y^2", "x^2+y", "x - y", "(x+y-0.3)", "1/(x-x)", "(x+y-0.1)^0.5",
-    "(x-0.1)^0.5*(y-0.1)^0.5",
+    "(x-0.1)^0.5*(y-0.1)^0.5", "(x-2*y)^0.5",
 )
 
 
