@@ -236,29 +236,19 @@ class _Parser:
         return -v if negate else v
 
 
+_UFUNCS = {"neg": np.negative, "abs": np.abs, "+": np.add, "-": np.subtract,
+           "*": np.multiply, "/": np.divide, "^": np.power}
+
+
 def _eval_tree(node, x, y):
     kind = node[0]
     if kind == "num":
         return node[1]
     if kind == "var":
         return x if node[1] == "x" else y
-    if kind == "neg":
-        return -_eval_tree(node[1], x, y)
-    if kind == "abs":
-        return np.abs(_eval_tree(node[1], x, y))
-    a = _eval_tree(node[1], x, y)
-    b = _eval_tree(node[2], x, y)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return np.divide(a, b)
-    if kind == "^":
-        return np.power(a, b)
-    raise AssertionError(f"unknown node kind {kind!r}")
+    if len(node) == 2:
+        return _UFUNCS[kind](_eval_tree(node[1], x, y))
+    return _UFUNCS[kind](_eval_tree(node[1], x, y), _eval_tree(node[2], x, y))
 
 
 def eval_kernel(spec: KernelSpec, x, y):

@@ -3,10 +3,11 @@
 L_k(x) grows roughly like exp(x/2) * x^(-k/2-1/4) * k! near the end of the
 oscillatory region, so the plain recurrence overflows native doubles once k
 and x are both large (k around 400 for x near 4k).  _recurrence_scaled
-keeps its running terms as value * 2**shift and renormalizes by powers of
-two, which is exact.  Each element stops at its own degree, so one call
-serves the nodes of many rules.  The rule builder in rules.py is its only
-caller: every Newton pass and the weight pass are one call each.
+keeps its running terms as value * 2**shift and, at regular checks,
+renormalizes every element by a power of two, which is exact.  Each
+element stops at its own degree, so one call serves the nodes of many
+rules.  The rule builder in rules.py is its only caller: every Newton pass
+and the weight pass are one call each.
 """
 
 from __future__ import annotations
@@ -15,15 +16,9 @@ import math
 
 import numpy as np
 
-# Renormalization band for the joint running terms, far enough inside the
-# double range that the steps between two checks cannot overflow or
-# underflow (see _recurrence_scaled).
-_BIG = 2.0**512
-_SMALL = 2.0**-512
-
 
 def _recurrence_scaled(k: int, x, degree):
-    """Run the recurrence with joint power-of-two rescaling, elementwise.
+    """Run the recurrence with joint power-of-two renormalization, elementwise.
 
     x is an array of floats and degree an integer array of the same length,
     each entry in 1..k.  Returns (prev, cur, shift), arrays of x's length,
@@ -42,11 +37,11 @@ def _recurrence_scaled(k: int, x, degree):
     prev = np.ones(len(x))
     cur = 1.0 - x
     shift = np.zeros(len(x), dtype=np.int64)
-    # Rescaling by a power of two is exact, so how often it happens does
-    # not change the result.  One step multiplies max(|prev|, |cur|) by at
-    # most 3 + |x| and divides it by at most 3k, so checking the band every
-    # `every` steps, with g**every <= 2**256, keeps the terms within
-    # [2**-768, 2**768].
+    # Renormalizing by a power of two is exact, so how often it happens
+    # does not change the result.  A check brings max(|prev|, |cur|) of
+    # every element into [1/2, 1).  One step multiplies it by at most
+    # 3 + |x| and divides it by at most 3k, so with a check every `every`
+    # steps, g**every <= 2**256, the terms stay within [2**-257, 2**256].
     g = 3.0 * k + 3.0 + float(np.max(abs(x), initial=0.0))
     every = max(1, int(256.0 / math.log2(g))) if g < math.inf else 1
     for n in range(1, k):
@@ -57,13 +52,8 @@ def _recurrence_scaled(k: int, x, degree):
                 o[a:len(x)] = v
             x, prev, cur, shift = x[:a], prev[:a], cur[:a], shift[:a]
         if n % every == 0:
-            m = np.maximum(abs(prev), abs(cur))
-            out_of_band = (m > _BIG) | (m < _SMALL)
-            if np.any(out_of_band):
-                e = np.where(out_of_band, np.frexp(m)[1], 0)
-                prev = np.ldexp(prev, -e)
-                cur = np.ldexp(cur, -e)
-                shift = shift + e
+            e = np.frexp(np.maximum(abs(prev), abs(cur)))[1]
+            prev, cur, shift = np.ldexp(prev, -e), np.ldexp(cur, -e), shift + e
         prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
     result = []
     for o, v in zip(out, (prev, cur, shift)):

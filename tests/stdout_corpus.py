@@ -11,7 +11,7 @@ at order 60, on a fresh temporary rule cache; then `table3` once more with
 caching disabled, which builds every rule in the process;
 then, again in both formats, the invocations of EDGE_CASES, which reach
 the other statuses and exit codes, the largest rule order and the paper's
-Table 3 at its default order: 82 invocations in all.
+Table 3 at its default order: 84 invocations in all.
 
 It writes tests/corpus_golden.json: for each invocation its arguments,
 exit code, standard error, standard output with every number replaced by
@@ -44,10 +44,13 @@ KERNELS = (
 # remainder (divergent, and an oracle overflow: exit 3), a kernel with a
 # wrong declared degree (exit 1), rejected arguments (exit 2), among them
 # a degree that is not finite, the rule of the largest order accepted,
-# the only one whose build rescales the recurrence's terms, table3 at
-# its default order 361, an asymmetric kernel, whose warning names the
-# sample pair where its two orientations differ most, and a kernel
-# undefined at one orientation of a sample pair only (exit 3).
+# whose build renormalizes the recurrence's terms at the most checks (they
+# reach far beyond double range), table3 at its default order 361, an
+# asymmetric kernel, whose warning names the sample pair where its two
+# orientations differ most, a kernel undefined at one orientation of a
+# sample pair only (exit 3), and a kernel whose expression holds every
+# operator node: unary '-', abs, '+', '-', '*', '/' and '^', and the
+# constant-only -(1/2).
 EDGE_CASES = (
     ["rule", "--points", "2000"],
     ["table3"],
@@ -66,6 +69,8 @@ EDGE_CASES = (
       for command in ("report", "check")),
     ["report", "--kernel", "q=1; abs(x-2*y)", "--max-points", ORDER],
     ["report", "--kernel", "(x-2*y)^0.5", "--max-points", ORDER],
+    ["check", "--kernel", "2*x*y/abs(-x-y) - -(1/2)*(x+y)^(3/2)/(x^2+y^2)^(1/4)",
+     "--max-points", ORDER],
 )
 
 

@@ -38,6 +38,15 @@ FROZEN_FILE_SHA256 = {
     120: "cbd0f6389dfc2e84736594b791f945499213e767982801aff63227453a3f8dc8",
     361: "9e72194a39a3cb631dd9508327105180a5b739947102a4ec73adf914a1ae934c",
 }
+# sha256 of the nodes and of the weights of two orders whose builds
+# renormalize the recurrence's terms at many checks, as compute_rule built
+# them when a check renormalized only the terms outside [2**-512, 2**512]
+HIGH_ORDER_RULE_SHA256 = {
+    1000: ("0fe3e5cc08af519dbc101ffc7fcd0a1595953c25868df27e5203d89bb6089df2",
+           "799bc0bc09adbb339896962f17e53ab17ecefcccf08799bb37e13a3353ab70b0"),
+    2000: ("c3243469d8dade7f1d3d230e43fd0358694771b1010e9ead78d04325da9c27f9",
+           "fbf3e62cc6973b7d072ce73a655f92677f3123261c9fdc4aa33957e05337d722"),
+}
 # the order-2 cache file as format version 3 wrote it, in decimal
 VERSION_3_ORDER_2 = (
     "# gauss-laguerre order=2 flushed=0 version=3\n"
@@ -268,6 +277,16 @@ def test_cache_files_match_frozen_digests(tmp_path):
         data = (tmp_path / f"glq_{k}.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == FROZEN_FILE_SHA256[k], k
         assert _same_rule(load_or_compute_rule(k, tmp_path), rule)
+
+
+def test_high_order_rules_match_frozen_digests(monkeypatch):
+    # one at a time, and both orders in one group
+    built = [compute_rule(k) for k in HIGH_ORDER_RULE_SHA256]
+    monkeypatch.setattr(rules, "_BATCH_NODES", 3000)
+    for rule in built + compute_rules(HIGH_ORDER_RULE_SHA256):
+        digests = tuple(hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+                        for values in (rule.nodes, rule.weights))
+        assert digests == HIGH_ORDER_RULE_SHA256[rule.order], rule.order
 
 
 def test_checksum_line_is_the_sha256_of_the_body():
