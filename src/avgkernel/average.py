@@ -115,7 +115,9 @@ def population_average_oracle(spec: KernelSpec, u: float, points: int = 4000,
     It is not scaled by its declared degree q, so a wrong q shows away from
     u = 1.  One step h serves both axes; it halves from 1/2 until two
     successive levels agree within rtol, while the t axis holds at most
-    `points` nodes.
+    `points` nodes.  A level is summed in blocks of s rows; a block's
+    weights are formed after its two kernel calls, so no weight array is
+    alive while the kernel runs and the kernel's temporaries set the peak.
     """
     if u <= 0:
         raise ValueError("u must be > 0")
@@ -134,11 +136,11 @@ def population_average_oracle(spec: KernelSpec, u: float, points: int = 4000,
         for lo in range(0, len(s), rows):
             us, wb = u * s[lo:lo + rows], ws[lo:lo + rows]
             # t < 1/2 <= 1 - t, so x < y survives the rounding of u s t
-            x, y, w = np.outer(us, t), np.outer(us, r), np.outer(wb, wt)
-            keep = (x >= _TINY) & (w > 0)
-            x, y, w = x[keep], y[keep], w[keep]
+            x, y = np.outer(us, t), np.outer(us, r)
+            keep = (x >= _TINY) & (np.outer(wb, wt) > 0)
+            x, y = x[keep], y[keep]
             folded = eval_kernel(spec, x, y) + eval_kernel(spec, y, x)
-            total += float(np.sum(w * folded))
+            total += float(np.sum(np.outer(wb, wt)[keep] * folded))
         value = 0.5 * total
         if not math.isfinite(value):
             raise ResolutionError(f"oracle produced non-finite value {value}")

@@ -81,7 +81,7 @@ def _fit_window(args, k_max: int) -> tuple[int, int] | None:
     """--fit-window A:B, checked against a series of k_max orders before
     the series runs; None when it is not given."""
     text = args.fit_window
-    if not text:
+    if text is None:
         return None
     parts = text.split(":")
     if len(parts) != 2:

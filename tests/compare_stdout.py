@@ -13,9 +13,11 @@ moved and the largest relative change among its numbers, |new - old| /
 position), the label of a "#" trailer line, or a json key path; "text"
 marks a field whose non-numeric value, or number of values, changed.
 "stdout text" marks any change of the output other than in its numbers,
-and "stderr text" a change of standard error.  The last line counts the
-invocations that differ.  The exit code is 0 when none differs, 1 when
-any does, and 2 on bad arguments.
+and "stderr text" a change of standard error.  The next-to-last line
+gives, for each field that moved in its numbers, the largest relative
+change over all invocations ("none" when no number moved), and the last
+line counts the invocations that differ.  The exit code is 0 when none
+differs, 1 when any does, and 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ def change(old: list, new: list):
     return worst
 
 
-def describe(old, new) -> str:
-    """The moved fields of two runs of one invocation, in output order."""
+def describe(old, new, largest: dict[str, float]) -> str:
+    """The moved fields of two runs of one invocation, in output order;
+    each numeric change also raises the field's entry in largest."""
     parts = [] if old.returncode == new.returncode else [
         f"exit code {old.returncode} -> {new.returncode}"]
     if old.stderr != new.stderr:
@@ -104,6 +107,7 @@ def describe(old, new) -> str:
             parts.append(f"{name} text")
         elif moved:
             parts.append(f"{name} {moved:.1e}")
+            largest[name] = max(largest.get(name, 0.0), moved)
     return ", ".join(parts) or "bytes only"
 
 
@@ -117,6 +121,7 @@ def main() -> int:
             print(f"compare_stdout: no avgkernel package under {arg}", file=sys.stderr)
             return 2
     differ = total = 0
+    largest: dict[str, float] = {}
     with tempfile.TemporaryDirectory(prefix="avgkernel-compare-") as parent_cache, \
             tempfile.TemporaryDirectory(prefix="avgkernel-compare-") as change_cache:
         for args in invocations():
@@ -128,7 +133,9 @@ def main() -> int:
                 print(f"same {shown(args)}", flush=True)
             else:
                 differ += 1
-                print(f"diff {shown(args)}: {describe(old, new)}", flush=True)
+                print(f"diff {shown(args)}: {describe(old, new, largest)}", flush=True)
+    print("# largest change per field: " + (", ".join(
+        f"{name} {moved:.1e}" for name, moved in largest.items()) or "none"))
     print(f"# {differ} of {total} invocations differ")
     return 1 if differ else 0
 

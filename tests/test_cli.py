@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avgkernel import average, cli, rules, tensor_quad
+from avgkernel import average, cli, extrapolate, rules, tensor_quad
 from support import version_4_file
 
 
@@ -524,6 +524,33 @@ def test_table3_does_not_load_openssl(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["report", "--kernel", "FM", "--max-points", "40"],
+    ["converge", "--kernel", "SC", "--max-points", "40", "--fit-window", "10:30"],
+    ["check", "--kernel", "CR", "--max-points", "40"],
+], ids=lambda argv: argv[0])
+def test_fit_runs_without_lapack(argv, cache_dir, monkeypatch, capsys):
+    # the remainder fit is plain Python: a command that fits a slope gives
+    # the same output with numpy's least-squares solvers unusable
+    argv = [*argv, "--cache-dir", cache_dir]
+    expected = (cli.main(argv), capsys.readouterr().out)
+    fits = []
+    fit_slope = extrapolate.fit_slope
+
+    def counted(*args):
+        fits.append(args)
+        return fit_slope(*args)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK least squares called")
+
+    monkeypatch.setattr(extrapolate, "fit_slope", counted)
+    monkeypatch.setattr(np, "polyfit", no_lapack)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
+    assert (cli.main(argv), capsys.readouterr().out) == expected
+    assert fits
+
+
+@pytest.mark.parametrize("argv", [
     ["converge", "--kernel", "SC", "--max-points", "60", "--fit-window", "20:5"],
     ["report", "--kernel", "x y"],
     ["check", "--kernel", "x + y + 1"],
@@ -531,6 +558,8 @@ def test_table3_does_not_load_openssl(tmp_path):
                  id="fit-window-without-colon"),
     pytest.param(["converge", "--kernel", "SC", "--max-points", "60", "--fit-window", "a:b"],
                  id="fit-window-not-integers"),
+    pytest.param(["converge", "--kernel", "SC", "--max-points", "60", "--fit-window", ""],
+                 id="fit-window-empty"),
 ], ids=lambda argv: argv[0])
 def test_rejected_arguments_write_no_cache(argv, tmp_path, capsys):
     # arguments are checked before any rule is built or written
@@ -540,8 +569,8 @@ def test_rejected_arguments_write_no_cache(argv, tmp_path, capsys):
     assert captured.out == ""
     assert not cache.exists()
     window = argv[-1]
-    if window == "5":
-        assert captured.err == "avgkernel: fit window must be A:B, got '5'\n"
+    if window in ("5", ""):
+        assert captured.err == f"avgkernel: fit window must be A:B, got {window!r}\n"
     elif window == "a:b":
         assert captured.err == "avgkernel: fit window must be two integers A:B, got 'a:b'\n"
 

@@ -1,8 +1,11 @@
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from avgkernel.average import AverageKernelResult
+from avgkernel.average import AverageKernelResult, pre_exponential_factor
 from avgkernel.extrapolate import (
     DegenerateFitError,
     Fit,
@@ -12,6 +15,8 @@ from avgkernel.extrapolate import (
     full_report,
     remainder_estimate,
 )
+from avgkernel.kernels import BUILTIN_IDS, builtin_kernel
+from avgkernel.tensor_quad import load_rules
 
 
 def power_law_series(k_max, exponent, base=0.0):
@@ -52,6 +57,64 @@ def test_fit_slope_skips_zero_entries():
 def test_fit_slope_degenerate_window():
     with pytest.raises(DegenerateFitError):
         fit_slope([0.0, 0.5, 0.0], (1, 3))
+
+
+def noisy_power_law_window(seed):
+    """A seeded window of 2 to 200 orders inside 1..1200, and errors
+    following a power law with about 10% log-normal scatter."""
+    rng = random.Random(seed)
+    size = rng.randint(2, 200)
+    a = rng.randint(1, 1201 - size)
+    b = a + size - 1
+    amplitude, exponent = 10.0 ** rng.uniform(-12.0, 0.0), rng.uniform(-4.0, -0.5)
+    errors = [amplitude * n**exponent * math.exp(rng.gauss(0.0, 0.1))
+              for n in range(1, b + 1)]
+    return errors, (a, b)
+
+
+def exact_slope(errors, window):
+    """The least-squares slope of the same math.log inputs, in exact rationals."""
+    a, b = window
+    xs = [Fraction(math.log(n)) for n in range(a, b + 1)]
+    ys = [Fraction(math.log(errors[n - 1])) for n in range(a, b + 1)]
+    sx, sy = sum(xs), sum(ys)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    sxx = sum(x * x for x in xs)
+    return (len(xs) * sxy - sx * sy) / (len(xs) * sxx - sx * sx)
+
+
+def test_fit_slope_is_the_exact_least_squares_slope():
+    misses = []
+    for seed in range(60):
+        errors, window = noisy_power_law_window(seed)
+        exact = exact_slope(errors, window)
+        rel = abs(Fraction(fit_slope(errors, window)) - exact) / abs(exact)
+        if rel > Fraction(1e-15):
+            misses.append((seed, window, float(rel)))
+    assert misses == []
+
+
+def polyfit_slope(errors, window):
+    """np.polyfit's degree-1 fit of the same logs: an independent reference."""
+    a, b = window
+    pts = [(n, e) for n, e in enumerate(errors[a - 1:b], start=a) if e > 0.0]
+    slope, _ = np.polyfit(np.log([float(n) for n, _ in pts]), np.log([e for _, e in pts]), 1)
+    return float(slope)
+
+
+@pytest.fixture(scope="module")
+def builtin_series(cache_dir):
+    rules = load_rules(range(1, 362), cache_dir)
+    return {kid: pre_exponential_factor(builtin_kernel(kid), rules).values
+            for kid in BUILTIN_IDS}
+
+
+@pytest.mark.parametrize("k_max", [120, 361])
+def test_fit_slope_agrees_with_polyfit_on_the_builtins(builtin_series, k_max):
+    for kid, values in builtin_series.items():
+        errors, window = error_sequence(values[:k_max]), fit_window(k_max)
+        assert fit_slope(errors, window) == pytest.approx(
+            polyfit_slope(errors, window), rel=1e-14, abs=0.0), kid
 
 
 def test_remainder_estimate_reference_values():
