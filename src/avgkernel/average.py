@@ -30,8 +30,9 @@ class ResolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class AverageKernelResult:
-    """One kernel through the pipeline: its series (Q_k, of the last rule,
-    last), its fit on the scale of Q, and q: the average is p*u^q, p = Q_k/2.
+    """One kernel through the pipeline: its series (a sum per rule, Q_k of
+    the last rule last), its fit on the scale of Q, and q: the average is
+    p*u^q, p = Q_k/2.
     """
 
     kernel_id: str
@@ -53,9 +54,10 @@ class AverageKernelResult:
 
 def pre_exponential_factor(spec: KernelSpec, rules: list[QuadratureRule],
                            fit_window=None) -> AverageKernelResult:
-    """Sum the kernel over each of rules (from load_rules), the series,
-    and fit it; p is half the last sum.  Every command that prints a
-    series, p or a remainder runs this, and nothing else sums a series.
+    """Sum the kernel over each of rules (from load_rules, ascending), the
+    series, and fit it on the rules' orders; p is half the last sum.  Every
+    command that prints a series, p or a remainder runs this, and nothing
+    else sums a series.
     """
     if spec.degree_q is None:
         raise ValueError("kernel has no homogeneity degree set")
@@ -63,7 +65,7 @@ def pre_exponential_factor(spec: KernelSpec, rules: list[QuadratureRule],
     # looked up on the module at call time, so a wrapper set on it sees every sum
     values = [tensor_quad.integrate_2d(rule, f) for rule in rules]
     return AverageKernelResult(spec.label, spec.degree_q, values,
-                               full_report(values, fit_window))
+                               full_report([r.order for r in rules], values, fit_window))
 
 
 def average_kernel(result: AverageKernelResult, u: float) -> float:

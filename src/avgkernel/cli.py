@@ -15,7 +15,7 @@ import signal
 import sys
 
 from .average import average_kernel, population_average_oracle, pre_exponential_factor
-from .extrapolate import FIT_ORDERS, error_sequence, fit_window
+from .extrapolate import FIT_ORDERS, error_sequence, fit_orders, fit_window
 from .kernels import BUILTIN_IDS, builtin_kernel, parse_kernel
 from .rules import default_cache_dir
 from .tensor_quad import load_rules
@@ -199,7 +199,8 @@ def cmd_report(args, cache_dir) -> int:
     k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for report")
     spec = _kernel(args)
     window = _fit_window(args, k_max)
-    result = pre_exponential_factor(spec, load_rules(range(1, k_max + 1), cache_dir), window)
+    result = pre_exponential_factor(spec, load_rules(fit_orders(k_max, window), cache_dir),
+                                    window)
     fit, q_k = result.fit, result.values[-1]
     beta = _beta_display(result.p, result.q)
 
@@ -247,7 +248,7 @@ def cmd_table3(args, cache_dir) -> int:
 def cmd_check(args, cache_dir) -> int:
     k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for check")
     spec = _kernel(args)
-    result = pre_exponential_factor(spec, load_rules(range(1, k_max + 1), cache_dir))
+    result = pre_exponential_factor(spec, load_rules(fit_orders(k_max), cache_dir))
     rem = result.remainder_value
     rows = []
     for u in _CHECK_U:

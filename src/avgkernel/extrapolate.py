@@ -17,15 +17,16 @@ FIT_ORDERS = 20
 
 
 class DegenerateFitError(ArithmeticError):
-    """Fewer than two positive error entries in the fit window."""
+    """Fewer than two positive errors among the fit points."""
 
 
 @dataclass(frozen=True)
 class Fit:
-    """The remainder fit of a series Q_1..Q_k, on the scale of Q.
+    """The remainder fit of a series ending at Q_k, on the scale of Q.
 
     status is one of
-    - "short": fewer than FIT_ORDERS orders, no fit; every other field is None;
+    - "short": fewer than FIT_ORDERS orders, or an order the fit reads is
+      missing, so no fit; every other field is None;
     - "exact": the tail differences vanished; remainder 0.0, no anchor or slope;
     - "estimated": slope C < -1 and a finite remainder;
     - "divergent": slope C >= -1, remainder None, which the caller must
@@ -40,31 +41,29 @@ class Fit:
 
 
 def error_sequence(values: list[float]) -> list[float]:
-    """eps_n = |Q_{n+1} - Q_n| of the series Q_1..Q_k, eps_n at index n-1."""
+    """|Q_{n+1} - Q_n| of successive values of a series."""
     if len(values) < 2:
         raise ValueError("need at least 2 series entries")
     return [abs(b - a) for a, b in zip(values, values[1:])]
 
 
-def fit_slope(errors: list[float], window) -> float:
-    """Least-squares slope of ln eps_n against ln n over the orders n of
-    the window, with eps_n at index n-1 of errors.
+def fit_slope(points) -> float:
+    """Least-squares slope of ln eps_n against ln n over the points (n, eps_n).
 
     Zero entries are skipped (their log is undefined); fewer than two
     remaining points is a degenerate fit.  The slope is the closed form
     sum(dn de) / sum(dn^2), dn and de the logs centred on their math.fsum
     means, with each sum of products rounded once by _dot.  On power-law
-    windows that is within about one ulp of the exact least-squares slope
+    points that is within about one ulp of the exact least-squares slope
     of these logs; only where the slope is near zero against the scatter
     of the points does the rounding of the centring show, amplified.
     Plain Python floats: no numpy, and no LAPACK call.
     """
-    a, b = window
-    pts = [(math.log(n), math.log(e))
-           for n, e in enumerate(errors[a - 1:b], start=a) if e > 0.0]
+    points = list(points)
+    pts = [(math.log(n), math.log(e)) for n, e in points if e > 0.0]
     if len(pts) < 2:
         raise DegenerateFitError(
-            f"window {a}:{b} holds {len(pts)} positive error entries, need 2"
+            f"{len(pts)} of {len(points)} fit points have a positive error, need 2"
         )
     mean_n = math.fsum(x for x, _ in pts) / len(pts)
     mean_e = math.fsum(y for _, y in pts) / len(pts)
@@ -115,28 +114,53 @@ def fit_window(k_max: int, window=None) -> tuple[int, int]:
     return (a, b)
 
 
-def full_report(values: list[float], window=None) -> Fit:
-    """The fit of the series Q_1..Q_k: error_sequence + fit_slope +
-    remainder_estimate, anchored at the top order.
+def _samples(window) -> list[int]:
+    """The orders n of the window whose eps_n the fit reads."""
+    a, b = window
+    return list(range(a, b + 1))
+
+
+def fit_orders(k_max: int, window=None) -> list[int]:
+    """The orders of a series 1..k_max that its remainder fit reads,
+    ascending: n and n+1 for each sampled n of the fit window, and k_max-1
+    and k_max, whose difference anchors the tail."""
+    pairs = {m for n in _samples(fit_window(k_max, window)) for m in (n, n + 1)}
+    return sorted(pairs | {k_max - 1, k_max})
+
+
+def full_report(orders, values, window=None) -> Fit:
+    """The fit of the series Q_n at orders, ascending, Q_k last: fit_slope
+    over (n, eps_n) at the sampled n of the window, and remainder_estimate
+    anchored at eps_{k-1}, eps_n = |Q_{n+1} - Q_n|.  A series shorter than
+    FIT_ORDERS, or one lacking an order of fit_orders, gets no fit.
 
     Differences at the rounding level of the series values count as zero:
     a converged integrand (constant, or exactly integrated polynomial)
     produces eps at roundoff scale, not exact zeros, and fitting that noise
-    would be meaningless.  The floor is 1e-10 relative to the series
-    magnitude, well above that rounding (the weights are good to about
+    would be meaningless.  The floor is 1e-10 relative to the largest |Q|
+    the fit reads, well above that rounding (the weights are good to about
     1e-12 at order 361).  It decides whether a series is reported exact or
     estimated, so moving it could change the printed status.
     """
-    if len(values) < FIT_ORDERS:
+    k = orders[-1]
+    if k < FIT_ORDERS:
         return Fit("short", None, None, None, None)
-    window = fit_window(len(values), window)
-    a, b = window
-    floor = 1e-10 * max(abs(v) for v in values)
-    errors = [e if e > floor else 0.0 for e in error_sequence(values)]
-    anchor = errors[-1]
-    if errors[a - 1:b].count(0.0) > (b - a + 1) / 2 or anchor == 0.0:
+    window = fit_window(k, window)
+    q = dict(zip(orders, values))
+    read = fit_orders(k, window)
+    if not all(n in q for n in read):
+        return Fit("short", None, None, None, None)
+    floor = 1e-10 * max(abs(q[n]) for n in read)
+
+    def eps(n: int) -> float:
+        e = abs(q[n + 1] - q[n])
+        return e if e > floor else 0.0
+
+    points = [(n, eps(n)) for n in _samples(window)]
+    anchor = eps(k - 1)
+    if sum(e == 0.0 for _, e in points) > len(points) / 2 or anchor == 0.0:
         return Fit("exact", window, None, None, 0.0)
-    slope = fit_slope(errors, window)
-    remainder = remainder_estimate(anchor, slope, len(errors))
+    slope = fit_slope(points)
+    remainder = remainder_estimate(anchor, slope, k - 1)
     return Fit("divergent" if remainder is None else "estimated",
                window, anchor, slope, remainder)

@@ -185,8 +185,8 @@ def test_criterion_6_property_suites(cache_dir):
             b = eval_kernel(spec, float(y), float(x))
             assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1e-300)
     # slope recovery on a synthetic power law
-    errors = [3.0 * n**-2.5 for n in range(1, 61)]
-    assert fit_slope(errors, (10, 59)) == pytest.approx(-2.5, abs=1e-10)
+    points = [(n, 3.0 * n**-2.5) for n in range(10, 60)]
+    assert fit_slope(points) == pytest.approx(-2.5, abs=1e-10)
 
 
 def test_criterion_7_population_average_equivalence(cache_dir):

@@ -47,7 +47,7 @@ def test_factor_is_half_the_report(cache_dir):
     rules = load_rules(range(1, 26), cache_dir)
     result = pre_exponential_factor(spec, rules)
     values = [integrate_2d(rule, lambda x, y: eval_kernel(spec, x, y)) for rule in rules]
-    fit = full_report(values)
+    fit = full_report(range(1, 26), values)
     assert result.values == values
     assert result.fit == fit
     assert result.p == 0.5 * values[-1]
@@ -61,8 +61,8 @@ def test_factor_respects_fit_window(cache_dir):
     b = pre_exponential_factor(spec, rules, fit_window=(5, 20))
     errors = error_sequence(a.values)
     assert (a.fit.window, b.fit.window) == ((15, 29), (5, 20))
-    assert a.fit.slope == fit_slope(errors, (15, 29))
-    assert b.fit.slope == fit_slope(errors, (5, 20))
+    assert a.fit.slope == fit_slope((n, errors[n - 1]) for n in range(15, 30))
+    assert b.fit.slope == fit_slope((n, errors[n - 1]) for n in range(5, 21))
     assert a.fit.slope != b.fit.slope
     assert a.p == b.p  # the window changes only the remainder fit
 

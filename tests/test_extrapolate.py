@@ -7,9 +7,11 @@ import pytest
 
 from avgkernel.average import AverageKernelResult, pre_exponential_factor
 from avgkernel.extrapolate import (
+    FIT_ORDERS,
     DegenerateFitError,
     Fit,
     error_sequence,
+    fit_orders,
     fit_slope,
     fit_window,
     full_report,
@@ -27,6 +29,11 @@ def power_law_series(k_max, exponent, base=0.0):
     return values
 
 
+def dense_report(values, window=None):
+    """full_report of the series Q_1..Q_k given by values."""
+    return full_report(range(1, len(values) + 1), values, window)
+
+
 def test_error_sequence_basic():
     assert error_sequence([0.0, 1.0, 1.5]) == [1.0, 0.5]
 
@@ -37,46 +44,42 @@ def test_error_sequence_needs_two_points():
 
 
 def test_fit_slope_recovers_exact_power_law():
-    errors = [7.0 * n**-2.5 for n in range(1, 51)]
-    assert fit_slope(errors, (5, 45)) == pytest.approx(-2.5, abs=1e-10)
+    points = [(n, 7.0 * n**-2.5) for n in range(5, 46)]
+    assert fit_slope(points) == pytest.approx(-2.5, abs=1e-10)
 
 
-def test_fit_slope_reads_only_the_window():
-    # eps_n sits at index n-1: a window of orders 6..10 sees only the
-    # power law, not the entries around it
-    errors = [1.0] * 5 + [float(n) ** -3.0 for n in range(6, 11)] + [1.0] * 5
-    assert fit_slope(errors, (6, 10)) == pytest.approx(-3.0, abs=1e-12)
+def test_fit_slope_reads_the_order_of_each_point():
+    # the points need not be successive orders: each carries its own n
+    points = [(n, float(n) ** -3.0) for n in (6, 7, 9, 13, 20, 31)]
+    assert fit_slope(points) == pytest.approx(-3.0, abs=1e-12)
+    assert fit_slope(reversed(points)) == fit_slope(points)
 
 
 def test_fit_slope_skips_zero_entries():
-    errors = [3.0 * n**-1.7 for n in range(1, 31)]
-    errors[9] = 0.0
-    assert fit_slope(errors, (2, 29)) == pytest.approx(-1.7, abs=1e-10)
+    points = [(n, 3.0 * n**-1.7) for n in range(2, 30)]
+    points[8] = (10, 0.0)
+    assert fit_slope(points) == pytest.approx(-1.7, abs=1e-10)
 
 
 def test_fit_slope_degenerate_window():
     with pytest.raises(DegenerateFitError):
-        fit_slope([0.0, 0.5, 0.0], (1, 3))
+        fit_slope([(1, 0.0), (2, 0.5), (3, 0.0)])
 
 
-def noisy_power_law_window(seed):
-    """A seeded window of 2 to 200 orders inside 1..1200, and errors
-    following a power law with about 10% log-normal scatter."""
+def noisy_power_law_points(seed):
+    """Seeded points (n, eps_n) at 2 to 200 orders inside 1..1200, the
+    errors following a power law with about 10% log-normal scatter."""
     rng = random.Random(seed)
     size = rng.randint(2, 200)
-    a = rng.randint(1, 1201 - size)
-    b = a + size - 1
+    orders = sorted(rng.sample(range(1, 1201), size))
     amplitude, exponent = 10.0 ** rng.uniform(-12.0, 0.0), rng.uniform(-4.0, -0.5)
-    errors = [amplitude * n**exponent * math.exp(rng.gauss(0.0, 0.1))
-              for n in range(1, b + 1)]
-    return errors, (a, b)
+    return [(n, amplitude * n**exponent * math.exp(rng.gauss(0.0, 0.1))) for n in orders]
 
 
-def exact_slope(errors, window):
+def exact_slope(points):
     """The least-squares slope of the same math.log inputs, in exact rationals."""
-    a, b = window
-    xs = [Fraction(math.log(n)) for n in range(a, b + 1)]
-    ys = [Fraction(math.log(errors[n - 1])) for n in range(a, b + 1)]
+    xs = [Fraction(math.log(n)) for n, _ in points]
+    ys = [Fraction(math.log(e)) for _, e in points]
     sx, sy = sum(xs), sum(ys)
     sxy = sum(x * y for x, y in zip(xs, ys))
     sxx = sum(x * x for x in xs)
@@ -86,18 +89,17 @@ def exact_slope(errors, window):
 def test_fit_slope_is_the_exact_least_squares_slope():
     misses = []
     for seed in range(60):
-        errors, window = noisy_power_law_window(seed)
-        exact = exact_slope(errors, window)
-        rel = abs(Fraction(fit_slope(errors, window)) - exact) / abs(exact)
+        points = noisy_power_law_points(seed)
+        exact = exact_slope(points)
+        rel = abs(Fraction(fit_slope(points)) - exact) / abs(exact)
         if rel > Fraction(1e-15):
-            misses.append((seed, window, float(rel)))
+            misses.append((seed, len(points), float(rel)))
     assert misses == []
 
 
-def polyfit_slope(errors, window):
+def polyfit_slope(points):
     """np.polyfit's degree-1 fit of the same logs: an independent reference."""
-    a, b = window
-    pts = [(n, e) for n, e in enumerate(errors[a - 1:b], start=a) if e > 0.0]
+    pts = [(n, e) for n, e in points if e > 0.0]
     slope, _ = np.polyfit(np.log([float(n) for n, _ in pts]), np.log([e for _, e in pts]), 1)
     return float(slope)
 
@@ -111,10 +113,10 @@ def builtin_series(cache_dir):
 
 @pytest.mark.parametrize("k_max", [120, 361])
 def test_fit_slope_agrees_with_polyfit_on_the_builtins(builtin_series, k_max):
+    a, b = fit_window(k_max)
     for kid, values in builtin_series.items():
-        errors, window = error_sequence(values[:k_max]), fit_window(k_max)
-        assert fit_slope(errors, window) == pytest.approx(
-            polyfit_slope(errors, window), rel=1e-14, abs=0.0), kid
+        points = [(n, abs(values[n] - values[n - 1])) for n in range(a, b + 1)]
+        assert fit_slope(points) == pytest.approx(polyfit_slope(points), rel=1e-14, abs=0.0), kid
 
 
 def test_remainder_estimate_reference_values():
@@ -173,7 +175,7 @@ def test_fit_window_defaults_to_upper_half():
 ], ids=["short", "exact", "estimated", "divergent"])
 def test_full_report_decides_the_status(values, expected):
     # full_report alone decides the status, for every length of series
-    fit = full_report(values)
+    fit = dense_report(values)
     assert (fit.status, fit.window) == (expected.status, expected.window)
     numbers = (fit.anchor_error, fit.slope, fit.remainder)
     assert numbers == pytest.approx(
@@ -184,14 +186,13 @@ def test_full_report_decides_the_status(values, expected):
 
 def test_full_report_recovers_power_law():
     values = power_law_series(40, -2.0)
-    fit = full_report(values)
+    fit = dense_report(values)
     assert fit.status == "estimated"
     # the default window is the upper half of the error orders, 20..39,
-    # and the anchor the last of them
+    # and the anchor eps_39 = |Q_40 - Q_39|
     errors = error_sequence(values)
-    assert fit.slope == fit_slope(errors, (20, 39))
-    assert len(errors) == 39
-    assert errors[-1] == fit.anchor_error
+    assert fit.slope == fit_slope((n, errors[n - 1]) for n in range(20, 40))
+    assert errors[38] == fit.anchor_error
     assert fit.anchor_error == pytest.approx(39.0**-2.0, rel=1e-13)
     assert fit.slope == pytest.approx(-2.0, abs=1e-10)
     assert fit.remainder == remainder_estimate(fit.anchor_error, fit.slope, 39)
@@ -207,16 +208,17 @@ def test_full_report_floor_keeps_fit_points():
         values[n:] = [v - step for v in values[n:]]
     errors = error_sequence(values)
     assert [n for n, e in enumerate(errors, start=1) if 0.0 < e <= 1e-7] == [22, 24, 26]
-    assert fit_slope(errors, (20, 39)) > -1.0  # what fitting the floor would give
-    fit = full_report(values)
+    # what fitting the floor would give
+    assert fit_slope((n, errors[n - 1]) for n in range(20, 40)) > -1.0
+    fit = dense_report(values)
     assert fit.status == "estimated"
     assert fit.slope == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_full_report_scale_equivariance():
     base = power_law_series(40, -2.2)
-    a = full_report(base)
-    b = full_report([2.0 * v for v in base])
+    a = dense_report(base)
+    b = dense_report([2.0 * v for v in base])
     assert b.slope == pytest.approx(a.slope, abs=1e-12)
     assert b.remainder == pytest.approx(2.0 * a.remainder, rel=1e-12)
 
@@ -224,14 +226,14 @@ def test_full_report_scale_equivariance():
 def test_full_report_roundoff_noise_counts_as_exact():
     # jitter at 1e-13 around 5.0 is far below the 1e-10 relative floor
     values = [5.0 + (1e-13 if i % 2 else -1e-13) for i in range(30)]
-    fit = full_report(values)
+    fit = dense_report(values)
     assert fit.status == "exact"
     assert fit.remainder == 0.0
 
 
 def test_full_report_plateau_after_convergence_is_exact():
     values = [1.0 + 2.0 ** -float(i) for i in range(1, 11)] + [1.0] * 20
-    assert full_report(values).status == "exact"
+    assert dense_report(values).status == "exact"
 
 
 def test_full_report_degenerate_window_raises():
@@ -240,21 +242,21 @@ def test_full_report_degenerate_window_raises():
     for i in range(21, 23):
         values[i] = values[i - 1] + 0.4
     with pytest.raises(DegenerateFitError):
-        full_report(values, (20, 21))
+        dense_report(values, (20, 21))
 
 
 def test_full_report_validates_inputs():
     series = power_law_series(30, -2.0)
     for window in ((0, 10), (5, 5), (12, 30), (25, 12)):
         with pytest.raises(ValueError):
-            full_report(series, window)
+            dense_report(series, window)
 
 
 def test_report_scaled_halves_everything_linear():
     # the p-scale view of a Q-scale fit is the fit times 0.5, exact in
     # binary floating point
     values = power_law_series(40, -2.0)
-    fit = full_report(values)
+    fit = dense_report(values)
     half = AverageKernelResult("synthetic", 0.0, values, fit)
     assert half.p == 0.5 * values[-1]
     assert half.remainder_value == 0.5 * fit.remainder
@@ -264,7 +266,7 @@ def test_report_scaled_halves_everything_linear():
 
 def test_report_scaled_keeps_exact_flag():
     values = [2.0] * 25
-    half = AverageKernelResult("c", 0.0, values, full_report(values))
+    half = AverageKernelResult("c", 0.0, values, dense_report(values))
     assert half.fit.status == "exact"
     assert half.remainder_value == 0.0
     assert half.p == 1.0
