@@ -30,9 +30,8 @@ class ResolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class AverageKernelResult:
-    """One kernel through the pipeline: its series (a sum per rule, Q_k of
-    the last rule last), its fit on the scale of Q, and q: the average is
-    p*u^q, p = Q_k/2.
+    """One kernel through the pipeline: its series (Q_k, of the last rule,
+    last), its fit on the scale of Q, and q: the average is p*u^q, p = Q_k/2.
     """
 
     kernel_id: str
@@ -55,7 +54,7 @@ class AverageKernelResult:
 def pre_exponential_factor(spec: KernelSpec, rules: list[QuadratureRule],
                            fit_window=None) -> AverageKernelResult:
     """Sum the kernel over each of rules (from load_rules, ascending), the
-    series, and fit it on the rules' orders; p is half the last sum.  Every
+    series, and fit it on their orders; p is half the last sum.  Every
     command that prints a series, p or a remainder runs this, and nothing
     else sums a series.
     """

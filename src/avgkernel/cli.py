@@ -27,9 +27,10 @@ from .tensor_quad import load_rules
 _CHECK_U = (0.5, 1.0, 2.0)
 _ORACLE_RTOL = 1e-5
 _CHECK_COLUMNS = ("u", "beta_bar", "oracle", "delta", "tol")
-# The largest --points/--max-points accepted.  The 2D sum holds one block of
-# rows at a time, but a series to k = 2000 reads 2M nodes and weights (32 MB)
-# and sums 2.7 billion kernel values: 18 to 24 s for FM or SD on 2 CPUs.
+# The largest --points/--max-points accepted.  report and check at k = 2000
+# build or read 16 rules and take 1.3-1.4 s uncached (SD, 2 CPUs).  converge
+# is the one command that sums a full series: to k = 2000 that reads 2M
+# nodes and weights (32 MB) and sums 2.7 billion kernel values, 18 to 24 s.
 MAX_ORDER = 2000
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -42,8 +43,10 @@ def _keep_freed_memory() -> None:
 
     By default an array above the mmap threshold is mapped on allocation
     and unmapped on free, and free memory at the heap top is trimmed, so
-    each block faults its temporaries in afresh: the series 1..361 of five
-    kernels takes 1.10 s in-process without this and 0.55 s with it.
+    each block faults its temporaries in afresh.  That costs most where a
+    command sums many orders: converge, the one command that sums a full
+    series, takes 0.24-0.38 s in-process without this and 0.11-0.13 s with
+    it on SD to order 361, and smaller sum blocks do not take its place.
     32 MiB is glibc's largest mmap threshold on 64-bit; the trim threshold
     lies above it.  Does nothing where the C library cannot be opened this
     way or has no mallopt.

@@ -1,9 +1,10 @@
 """Error sequence, log-log slope fit, and extrapolated tail remainder.
 
-Successive-order differences eps_n = |Q_{n+1} - Q_n| are treated as samples
-of a power law eps_x = eps_n (x/n)^C.  Integrating that law over [n+1, inf)
-gives the remainder R = -eps_n ((n+1)/n)^C (n+1)/(C+1), which only converges
-for C < -1.
+Successive-order differences eps_n = |Q_{n+1} - Q_n|, taken at a few orders
+n of the fit window, are treated as samples of a power law
+eps_x = eps_n (x/n)^C.  Integrating that law over [n+1, inf) gives the
+remainder R = -eps_n ((n+1)/n)^C (n+1)/(C+1), which only converges for
+C < -1.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from dataclasses import dataclass
 
 # The fewest series orders a remainder fit takes.
 FIT_ORDERS = 20
+# The orders n of the fit window whose eps_n the slope fit reads; with
+# n + 1 and the anchor's two orders, at most 2 * FIT_SAMPLES + 2 orders.
+FIT_SAMPLES = 8
 
 
 class DegenerateFitError(ArithmeticError):
@@ -59,12 +63,9 @@ def fit_slope(points) -> float:
     of the points does the rounding of the centring show, amplified.
     Plain Python floats: no numpy, and no LAPACK call.
     """
-    points = list(points)
     pts = [(math.log(n), math.log(e)) for n, e in points if e > 0.0]
     if len(pts) < 2:
-        raise DegenerateFitError(
-            f"{len(pts)} of {len(points)} fit points have a positive error, need 2"
-        )
+        raise DegenerateFitError(f"fit points with a positive error: {len(pts)}, need 2")
     mean_n = math.fsum(x for x, _ in pts) / len(pts)
     mean_e = math.fsum(y for _, y in pts) / len(pts)
     dn = [x - mean_n for x, _ in pts]
@@ -115,9 +116,11 @@ def fit_window(k_max: int, window=None) -> tuple[int, int]:
 
 
 def _samples(window) -> list[int]:
-    """The orders n of the window whose eps_n the fit reads."""
+    """The orders n of the window whose eps_n the fit reads: FIT_SAMPLES
+    orders evenly spaced in ln n from a to b, rounded, without repeats."""
     a, b = window
-    return list(range(a, b + 1))
+    last = FIT_SAMPLES - 1
+    return sorted({round(a * (b / a) ** (j / last)) for j in range(FIT_SAMPLES)})
 
 
 def fit_orders(k_max: int, window=None) -> list[int]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from avgkernel import average, cli, extrapolate, rules, tensor_quad
+from avgkernel.kernels import builtin_kernel
 from support import version_4_file
 
 
@@ -192,6 +193,78 @@ def test_report_json(cache_dir):
     assert payload["status"] == "estimated"
 
 
+def counted_loads(monkeypatch):
+    """The orders every load_or_compute_rule call loads, in call order."""
+    loads = []
+    load = tensor_quad.load_or_compute_rule
+
+    def counted(k, cache_dir, built=None):
+        loads.append(k)
+        return load(k, cache_dir, built)
+
+    monkeypatch.setattr(tensor_quad, "load_or_compute_rule", counted)
+    return loads
+
+
+@pytest.mark.parametrize("command, kernel, k, window", [
+    ("report", "FM", 21, None),
+    ("report", "SD", 361, None),
+    ("report", "SC", 60, (5, 20)),
+    ("check", "CR", 21, None),
+    ("check", "x^0.5*y + x*y^0.5", 361, None),
+])
+def test_report_and_check_load_only_the_fit_orders(command, kernel, k, window, cache_dir,
+                                                   monkeypatch, capsys):
+    # Q_k and the sampled pairs of the fit are the only numbers printed
+    argv = [command, "--kernel", kernel, "--max-points", str(k), "--cache-dir", cache_dir]
+    if window is not None:
+        argv += ["--fit-window", f"{window[0]}:{window[1]}"]
+    loads = counted_loads(monkeypatch)
+    assert cli.main(argv) == 0
+    assert loads == extrapolate.fit_orders(k, window)
+    assert len(loads) <= 16
+
+
+def test_report_at_the_order_limit_builds_16_rules(tmp_path, monkeypatch, capsys):
+    built = []
+    compute_rules = tensor_quad.compute_rules
+
+    def batch(orders):
+        built.extend(orders)
+        return compute_rules(orders)
+
+    monkeypatch.setattr(tensor_quad, "compute_rules", batch)
+    argv = ["report", "--kernel", "SD", "--max-points", str(cli.MAX_ORDER)]
+    assert cli.main([*argv, "--cache-dir", str(tmp_path)]) == 0
+    assert built == extrapolate.fit_orders(cli.MAX_ORDER)
+    assert len(built) == 16
+    assert capsys.readouterr().out.splitlines()[1].startswith("SD,")
+
+
+@pytest.mark.parametrize("k_max", [21, 60])
+def test_report_p_is_the_dense_series_p(k_max, cache_dir, capsys):
+    # p is half the sum of rule k, bit for bit the p of the series 1..k
+    rules_1_k = tensor_quad.load_rules(range(1, k_max + 1), cache_dir)
+    for kid in ("FM", "SD"):
+        dense = average.pre_exponential_factor(builtin_kernel(kid), rules_1_k)
+        argv = ["report", "--kernel", kid, "--max-points", str(k_max), "--format", "json"]
+        assert cli.main([*argv, "--cache-dir", cache_dir]) == 0
+        assert json.loads(capsys.readouterr().out)["p"] == dense.p == dense.values[-1] / 2
+
+
+@pytest.mark.parametrize("kid", ["FM", "CR", "SC", "SD"])
+def test_converge_fits_what_report_fits(kid, cache_dir, capsys):
+    # converge prints every order 1..k, but fits the same sampled pairs
+    printed = []
+    for command in ("converge", "report"):
+        argv = [command, "--kernel", kid, "--max-points", "60", "--format", "json"]
+        assert cli.main([*argv, "--cache-dir", cache_dir]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        printed.append((payload["C"], payload["R"], payload["status"]))
+    assert printed[0] == printed[1]
+    assert printed[0][2] == "estimated"
+
+
 def test_table3_rows(cache_dir):
     cp = run_cli("table3", "--max-points", "21", cache=cache_dir)
     assert cp.returncode == 0, cp.stderr
@@ -274,14 +347,7 @@ def test_table3_without_cache_builds_each_order_once(monkeypatch, capsys):
 
 
 def test_table3_loads_each_order_once(tmp_path, monkeypatch, capsys):
-    loads = []
-    load = tensor_quad.load_or_compute_rule
-
-    def counted(k, cache_dir, built=None):
-        loads.append(k)
-        return load(k, cache_dir, built)
-
-    monkeypatch.setattr(tensor_quad, "load_or_compute_rule", counted)
+    loads = counted_loads(monkeypatch)
     for cache_dir in (str(tmp_path), ""):
         loads.clear()
         assert cli.main(["table3", "--max-points", "25", "--cache-dir", cache_dir]) == 0
@@ -329,8 +395,8 @@ def test_table3_rewrites_a_version_4_cache(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("k_max", ["21", "60"])
 def test_table3_p_is_the_series_p(k_max, capsys):
-    # table3 sums order k alone; its p is bitwise the p of the full series
-    # 1..k that report runs, each with every rule built afresh
+    # table3 sums order k alone; its p is bitwise the p of the series that
+    # report runs, each with every rule built afresh
     argv = ["--max-points", k_max, "--format", "json", "--cache-dir", ""]
     assert cli.main(["table3", *argv]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]

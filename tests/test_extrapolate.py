@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgkernel.average import AverageKernelResult, pre_exponential_factor
 from avgkernel.extrapolate import (
-    FIT_ORDERS,
+    FIT_SAMPLES,
     DegenerateFitError,
     Fit,
     error_sequence,
@@ -166,6 +168,37 @@ def test_fit_window_defaults_to_upper_half():
         fit_window(40, (5, 40))
 
 
+@st.composite
+def series_and_window(draw):
+    """An order k of 20..2000 and a fit window inside 1:k-1, or None."""
+    k = draw(st.integers(20, 2000))
+    if draw(st.booleans()):
+        return k, None
+    a = draw(st.integers(1, k - 2))
+    return k, (a, draw(st.integers(a + 1, k - 1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(series_and_window())
+def test_fit_orders_holds_each_sampled_pair(case):
+    k, window = case
+    orders = fit_orders(k, window)
+    assert orders == sorted(set(orders))
+    assert 1 <= orders[0] and orders[-1] == k
+    a, b = fit_window(k, window)
+    # the sampled n, evenly spaced in ln n from a to b, rounded
+    sampled = {round(a * (b / a) ** (j / (FIT_SAMPLES - 1))) for j in range(FIT_SAMPLES)}
+    assert {a, b} <= sampled
+    assert {m for n in sampled for m in (n, n + 1)} | {k - 1, k} == set(orders)
+    assert len(orders) <= 2 * FIT_SAMPLES + 2
+
+
+def test_fit_orders_are_at_most_16_from_order_60():
+    counts = {k: len(fit_orders(k)) for k in range(20, 2001)}
+    assert max(counts[k] for k in range(60, 2001)) == 16
+    assert (counts[20], counts[21], counts[60], counts[361], counts[2000]) == (11, 11, 16, 16, 16)
+
+
 @pytest.mark.parametrize("values, expected", [
     (power_law_series(19, -2.0), Fit("short", None, None, None, None)),
     ([3.25] * 25, Fit("exact", (13, 24), None, None, 0.0)),
@@ -184,32 +217,58 @@ def test_full_report_decides_the_status(values, expected):
         assert fit.slope >= -1.0
 
 
+# the n whose eps_n the fit of a series 1..40 reads: 8 orders evenly
+# spaced in ln n over its default window 20..39, rounded
+SAMPLED_40 = [20, 22, 24, 27, 29, 32, 35, 39]
+
+
 def test_full_report_recovers_power_law():
     values = power_law_series(40, -2.0)
     fit = dense_report(values)
     assert fit.status == "estimated"
-    # the default window is the upper half of the error orders, 20..39,
-    # and the anchor eps_39 = |Q_40 - Q_39|
+    # the anchor is eps_39 = |Q_40 - Q_39|
     errors = error_sequence(values)
-    assert fit.slope == fit_slope((n, errors[n - 1]) for n in range(20, 40))
+    assert fit.slope == fit_slope((n, errors[n - 1]) for n in SAMPLED_40)
     assert errors[38] == fit.anchor_error
     assert fit.anchor_error == pytest.approx(39.0**-2.0, rel=1e-13)
     assert fit.slope == pytest.approx(-2.0, abs=1e-10)
     assert fit.remainder == remainder_estimate(fit.anchor_error, fit.slope, 39)
 
 
+def test_full_report_reads_only_the_fit_orders():
+    # the orders of fit_orders give the same fit as the whole series, and
+    # every other order may hold anything
+    values = power_law_series(40, -2.2, base=1.0)
+    orders = fit_orders(40)
+    assert orders == sorted({m for n in SAMPLED_40 for m in (n, n + 1)})
+    assert full_report(orders, [values[n - 1] for n in orders]) == dense_report(values)
+    scrambled = [1e6 * (-1) ** n if n not in orders else v
+                 for n, v in enumerate(values, start=1)]
+    assert dense_report(scrambled) == dense_report(values)
+
+
+def test_full_report_without_a_fit_order_is_short():
+    # a series lacking an order the fit reads, as table3's one-rule series
+    # does, gets no fit
+    values = power_law_series(40, -2.0)
+    short = Fit("short", None, None, None, None)
+    assert full_report([40], values[-1:]) == short
+    orders = [n for n in fit_orders(40) if n != 27]
+    assert full_report(orders, [values[n - 1] for n in orders]) == short
+
+
 def test_full_report_floor_keeps_fit_points():
     # differences at or below 1e-10 of the series magnitude leave the fit
-    # as zeros do; the estimate stands while at most half the window is
-    # at the floor
+    # as zeros do; the estimate stands while at most half the sampled
+    # points are at the floor
     values = power_law_series(40, -2.0, base=1e3)
-    for n in (22, 24, 26):
+    for n in (22, 24, 27):
         step = values[n] - values[n - 1] - 1e-9
         values[n:] = [v - step for v in values[n:]]
     errors = error_sequence(values)
-    assert [n for n, e in enumerate(errors, start=1) if 0.0 < e <= 1e-7] == [22, 24, 26]
+    assert [n for n, e in enumerate(errors, start=1) if 0.0 < e <= 1e-7] == [22, 24, 27]
     # what fitting the floor would give
-    assert fit_slope((n, errors[n - 1]) for n in range(20, 40)) > -1.0
+    assert fit_slope((n, errors[n - 1]) for n in SAMPLED_40) > -1.0
     fit = dense_report(values)
     assert fit.status == "estimated"
     assert fit.slope == pytest.approx(-2.0, abs=1e-6)

@@ -82,7 +82,7 @@ def test_tracer_counts_check_layers(tmp_path):
     assert layers["average.oracle_calls"] == 3
     assert layers["average.p_calls"] == 1
     assert layers["extrapolate.calls"] == 1
-    # the fit reads orders 11..21 of 21 and p reads 21
+    # at order 21 the fit's sampled pairs and p read orders 11..21
     assert layers["tensor_quad.calls"] == 11
     assert layers["rules.cache_misses"] == 11
     assert len(tracer.named("kernels.parse_kernel")) == 1
