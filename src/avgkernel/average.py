@@ -140,8 +140,10 @@ def population_average_oracle(spec: KernelSpec, u: float, points: int = 4000,
             x, y = np.outer(us, t), np.outer(us, r)
             keep = (x >= _TINY) & (np.outer(wb, wt) > 0)
             x, y = x[keep], y[keep]
-            folded = eval_kernel(spec, x, y) + eval_kernel(spec, y, x)
-            total += float(np.sum(np.outer(wb, wt)[keep] * folded))
+            # a level that overflows raises below, without a numpy warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                folded = eval_kernel(spec, x, y) + eval_kernel(spec, y, x)
+                total += float(np.sum(np.outer(wb, wt)[keep] * folded))
         value = 0.5 * total
         if not math.isfinite(value):
             raise ResolutionError(f"oracle produced non-finite value {value}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,7 +120,17 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_PRIMARY_EXPECTED = ("a number", "'x'", "'y'", "'eta'", "'eta1'", "'abs'", "'('", "'-'")
+# The binary operators, loosest first, each with its left and right
+# binding power and its ufunc.  parse_expr(least) takes an operator while
+# its left power is at least `least`, and parses its right operand with
+# `least` set to the right power.  So an operator whose right power is
+# above its left one groups to the left, and '^', whose right power is
+# below it, to the right.  Unary '-' and abs bind tighter than any of them.
+_BINARY = {"+": (1, 2, np.add), "-": (1, 2, np.subtract), "*": (3, 4, np.multiply),
+           "/": (3, 4, np.divide), "^": (6, 5, np.power)}
+_UNARY = {"neg": np.negative, "abs": np.abs}
+_VARIABLES = {"x": "x", "eta": "x", "y": "y", "eta1": "y"}
+_OPERAND_EXPECTED = ("a number", "'x'", "'y'", "'eta'", "'eta1'", "'abs'", "'('", "'-'")
 
 
 def _tokenize(text):
@@ -137,107 +147,63 @@ def _tokenize(text):
     return tokens
 
 
-def _describe(token):
-    kind, value, _ = token
-    return "end of input" if kind == "end" else repr(value)
-
-
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def take(self, kind, *values):
+        """The next token, consumed, if it is of this kind and (when values
+        are given) one of them; else None."""
+        token = self.tokens[self.i]
+        if token[0] == kind and (not values or token[1] in values):
+            self.i += 1
+            return token
+        return None
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def fail(self, expected, token=None):
+        kind, value, offset = token or self.tokens[self.i]
+        raise KernelSyntaxError(offset, expected, "end of input" if kind == "end" else repr(value))
 
-    def fail(self, expected):
-        tok = self.peek()
-        raise KernelSyntaxError(tok[2], expected, _describe(tok))
+    def expect(self, symbol):
+        self.take("op", symbol) or self.fail((f"'{symbol}'",))
 
-    def expect_op(self, symbol):
-        kind, value, _ = self.peek()
-        if kind != "op" or value != symbol:
-            self.fail((f"'{symbol}'",))
-        return self.advance()
-
-    def at_op(self, *symbols):
-        kind, value, _ = self.peek()
-        return kind == "op" and value in symbols
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.at_op("+", "-"):
-            op = self.advance()[1]
-            node = (op, node, self.parse_term())
+    def parse_expr(self, least=0):
+        node = self.parse_unary()
+        while (op := self.tokens[self.i][1]) in _BINARY and _BINARY[op][0] >= least:
+            self.i += 1
+            node = (op, node, self.parse_expr(_BINARY[op][1]))
         return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while self.at_op("*", "/"):
-            op = self.advance()[1]
-            node = (op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self):
-        base = self.parse_unary()
-        if self.at_op("^"):
-            self.advance()
-            return ("^", base, self.parse_factor())  # right-associative
-        return base
 
     def parse_unary(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
+        """A unary '-' or an operand: a variable, a number, abs(...) or a
+        parenthesized expression."""
+        if self.take("op", "-"):
             return ("neg", self.parse_unary())
-        if kind == "name" and value == "abs":
-            self.advance()
-            self.expect_op("(")
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return ("abs", inner)
-        return self.parse_primary()
-
-    def parse_primary(self):
-        kind, value, _ = self.peek()
-        if kind == "num":
+        if var := self.take("name", *_VARIABLES):
+            return ("var", _VARIABLES[var[1]])
+        if self.tokens[self.i][0] == "num":
             # an overflowing literal fails here as in the q= prefix
-            return ("num", self.parse_number_literal())
-        if kind == "name" and value in ("x", "eta"):
-            self.advance()
-            return ("var", "x")
-        if kind == "name" and value in ("y", "eta1"):
-            self.advance()
-            return ("var", "y")
-        if kind == "op" and value == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        self.fail(_PRIMARY_EXPECTED)
+            return ("num", self.parse_number())
+        if self.take("name", "abs"):
+            self.expect("(")
+            node = ("abs", self.parse_expr())
+        elif self.take("op", "("):
+            node = self.parse_expr()
+        else:
+            self.fail(_OPERAND_EXPECTED)
+        self.expect(")")
+        return node
 
-    def parse_number_literal(self):
+    def parse_number(self):
         negate = False
-        while self.at_op("-"):
-            self.advance()
+        while self.take("op", "-"):
             negate = not negate
-        kind, value, _ = self.peek()
-        if kind != "num":
-            self.fail(("a number",))
-        v = float(value)
+        token = self.take("num") or self.fail(("a number",))
+        v = float(token[1])
         if not math.isfinite(v):
-            self.fail(("a finite number",))
-        self.advance()
+            self.fail(("a finite number",), token)
         return -v if negate else v
-
-
-_UFUNCS = {"neg": np.negative, "abs": np.abs, "+": np.add, "-": np.subtract,
-           "*": np.multiply, "/": np.divide, "^": np.power}
 
 
 def _eval_tree(node, x, y):
@@ -247,8 +213,8 @@ def _eval_tree(node, x, y):
     if kind == "var":
         return x if node[1] == "x" else y
     if len(node) == 2:
-        return _UFUNCS[kind](_eval_tree(node[1], x, y))
-    return _UFUNCS[kind](_eval_tree(node[1], x, y), _eval_tree(node[2], x, y))
+        return _UNARY[kind](_eval_tree(node[1], x, y))
+    return _BINARY[kind][2](_eval_tree(node[1], x, y), _eval_tree(node[2], x, y))
 
 
 def eval_kernel(spec: KernelSpec, x, y):
@@ -351,32 +317,20 @@ def parse_kernel(text: str) -> KernelSpec:
     """
     if text.strip().upper() in _BUILTINS:
         return builtin_kernel(text)
-    tokens = _tokenize(text)
-    parser = _Parser(tokens)
-    explicit_q = None
-    if (
-        tokens[0][:2] == ("name", "q")
-        and len(tokens) > 1
-        and tokens[1][:2] == ("op", "=")
-    ):
-        parser.advance()
-        parser.advance()
-        explicit_q = parser.parse_number_literal()
-        parser.expect_op(";")
+    parser = _Parser(_tokenize(text))
+    q = None
+    # the end token follows a name, so tokens[1] is there
+    if parser.tokens[0][:2] == ("name", "q") and parser.tokens[1][:2] == ("op", "="):
+        parser.i = 2
+        q = parser.parse_number()
+        parser.expect(";")
     try:
         tree = parser.parse_expr()
     except RecursionError:
         raise KernelNestingError() from None
-    if parser.peek()[0] != "end":
-        parser.fail(("'+'", "'-'", "'*'", "'/'", "'^'", "end of input"))
-    spec = KernelSpec(
-        source=tree,
-        degree_q=explicit_q,
-        label=text.strip(),
-    )
-    warning = _verify_symmetry(spec)
-    if warning is not None:
-        spec = replace(spec, symmetry_warning=warning)
-    if explicit_q is None:
-        spec = replace(spec, degree_q=homogeneity_degree(spec))
-    return spec
+    parser.take("end") or parser.fail((*(f"'{op}'" for op in _BINARY), "end of input"))
+    # the label keeps a line break in the text out of a csv row
+    label = " ".join(text.split())
+    unsampled = KernelSpec(tree, q, label)
+    warning = _verify_symmetry(unsampled)
+    return KernelSpec(tree, homogeneity_degree(unsampled) if q is None else q, label, warning)

@@ -11,7 +11,7 @@ at order 60, on a fresh temporary rule cache; then `table3` once more with
 caching disabled, which builds every rule in the process;
 then, again in both formats, the invocations of EDGE_CASES, which reach
 the other statuses and exit codes, the largest rule order and the paper's
-Table 3 at its default order: 84 invocations in all.
+Table 3 at its default order: 90 invocations in all.
 
 It writes tests/corpus_golden.json: for each invocation its arguments,
 exit code, standard error, standard output with every number replaced by
@@ -50,7 +50,9 @@ KERNELS = (
 # orientations differ most, a kernel undefined at one orientation of a
 # sample pair only (exit 3), and a kernel whose expression holds every
 # operator node: unary '-', abs, '+', '-', '*', '/' and '^', and the
-# constant-only -(1/2).
+# constant-only -(1/2); a kernel text with a line break, whose label is
+# single-spaced, one whose oracle overflows (exit 3, one line of standard
+# error), and one wrapped in 400 parentheses.
 EDGE_CASES = (
     ["rule", "--points", "2000"],
     ["table3"],
@@ -71,6 +73,9 @@ EDGE_CASES = (
     ["report", "--kernel", "(x-2*y)^0.5", "--max-points", ORDER],
     ["check", "--kernel", "2*x*y/abs(-x-y) - -(1/2)*(x+y)^(3/2)/(x^2+y^2)^(1/4)",
      "--max-points", ORDER],
+    ["report", "--kernel", "x*y\n*(x+y)", "--max-points", "30"],
+    ["check", "--kernel", "1e300*(x^-0.99*y + x*y^-0.99)", "--max-points", "120"],
+    ["report", "--kernel", "(" * 400 + "x+y" + ")" * 400, "--max-points", "20"],
 )
 
 

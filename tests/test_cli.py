@@ -708,13 +708,36 @@ NESTED_TOO_DEEPLY = ("avgkernel: kernel expression nested too deeply"
                      f" (Python's recursion limit is {sys.getrecursionlimit()})\n")
 
 
-@pytest.mark.parametrize("kernel", ["(" * 200 + "x+y" + ")" * 200, "+".join(["x"] * 1000)],
-                         ids=["200 parentheses", "1000-term sum"])
+@pytest.mark.parametrize("kernel", ["(" * 1000 + "x+y" + ")" * 1000, "+".join(["x"] * 1000)],
+                         ids=["1000 parentheses", "1000-term sum"])
 def test_deeply_nested_kernel_exits_2(kernel, capsys):
     # the parentheses overflow the parser, the sum the evaluator
     argv = ["report", "--kernel", kernel, "--max-points", "21", "--cache-dir", ""]
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", NESTED_TOO_DEEPLY)
+
+
+def test_400_parentheses_parse(capsys):
+    # the parser takes two frames per level of parentheses
+    argv = ["report", "--max-points", "21", "--format", "json", "--cache-dir", ""]
+    assert cli.main([*argv, "--kernel", "(" * 400 + "x+y" + ")" * 400]) == 0
+    deep = json.loads(capsys.readouterr().out)
+    assert cli.main([*argv, "--kernel", "x+y"]) == 0
+    assert {**deep, "kernel": "x+y"} == json.loads(capsys.readouterr().out)
+
+
+def test_line_break_in_a_kernel_stays_in_its_csv_row(capsys):
+    argv = ["report", "--kernel", "x*y\n*(x+y)", "--max-points", "30", "--cache-dir", ""]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("x*y *(x+y),")
+
+
+def test_oracle_overflow_writes_one_line_to_stderr(cache_dir):
+    cp = run_cli("check", "--kernel", "1e300*(x^-0.99*y + x*y^-0.99)", "--max-points", "120",
+                 cache=cache_dir)
+    assert (cp.returncode, cp.stderr) == (3, "avgkernel: oracle produced non-finite value inf\n")
 
 
 @pytest.mark.parametrize("kernel, builtin", [

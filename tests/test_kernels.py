@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgkernel import kernels
 from avgkernel.kernels import (
@@ -153,10 +155,49 @@ def test_parse_power_is_right_associative():
     assert spec.degree_q == pytest.approx(8.0, abs=1e-9)
 
 
-def test_parse_precedence_and_unary_minus():
-    assert eval_kernel(parse_kernel("q=0; 1+2*3"), 1.0, 1.0) == 7.0
-    assert eval_kernel(parse_kernel("q=0; -2^2"), 1.0, 1.0) == 4.0  # (-2)^2
-    assert eval_kernel(parse_kernel("q=0; 8/2/2"), 1.0, 1.0) == 2.0
+@pytest.mark.parametrize("text, value", [
+    ("1+2*3", 7.0),
+    ("1+2*3^2", 19.0),
+    ("-2^2", 4.0),  # unary minus binds tighter than '^': (-2)^2
+    ("2^3^2", 512.0),  # '^' groups to the right: 2^(3^2)
+    ("2^-1^2", 2.0),  # 2^((-1)^2)
+    ("2-3-4", -5.0),  # '-' and '/' group to the left
+    ("8/2/2", 2.0),
+    ("2*-3", -6.0),
+])
+def test_precedence_table(text, value):
+    assert eval_kernel(parse_kernel(f"q=0; {text}"), 1.0, 1.0) == value
+
+
+def test_unary_minus_binds_tighter_than_product():
+    tree = kernels._Parser(kernels._tokenize("-x*y")).parse_expr()
+    assert tree == ("*", ("neg", ("var", "x")), ("var", "y"))
+
+
+def _binary(op, left, right):
+    return f"({left[0]}{op}{right[0]})", (op, left[1], right[1])
+
+
+def _unary(op, operand):
+    return (f"(-{operand[0]})" if op == "neg" else f"abs({operand[0]})"), (op, operand[1])
+
+
+# (text, tree) pairs: the text of a tree with every operator parenthesized
+_OPERANDS = (st.sampled_from([("x", ("var", "x")), ("eta", ("var", "x")),
+                              ("y", ("var", "y")), ("eta1", ("var", "y"))])
+             | st.floats(min_value=0.0, allow_infinity=False).map(lambda v: (repr(v), ("num", v))))
+_EXPRESSIONS = st.recursive(
+    _OPERANDS, lambda children: st.builds(_binary, st.sampled_from("+-*/^"), children, children)
+    | st.builds(_unary, st.sampled_from(["neg", "abs"]), children), max_leaves=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_EXPRESSIONS)
+def test_parenthesized_text_parses_back_to_its_tree(case):
+    text, tree = case
+    parser = kernels._Parser(kernels._tokenize(text))
+    assert parser.parse_expr() == tree
+    assert parser.take("end")
 
 
 def test_parse_abs():
