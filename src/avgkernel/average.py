@@ -74,6 +74,8 @@ def average_kernel(result: AverageKernelResult, u: float) -> float:
     return result.p * u ** result.q
 
 
+# The oracle's tolerance, relative to max(1, |value|); check passes within it.
+ORACLE_RTOL = 1e-5
 # Kernels such as 1/x overflow below the smallest normal float.
 _TINY = np.finfo(float).tiny
 # The most s x t grid points the oracle evaluates at once.  A level is
@@ -105,7 +107,7 @@ def _de_axes(h: float):
 
 
 def population_average_oracle(spec: KernelSpec, u: float, points: int = 4000,
-                              rtol: float = 1e-5) -> float:
+                              rtol: float = ORACLE_RTOL) -> float:
     """Quadrature-independent estimate of the average kernel at u.
 
     With x = u s t and y = u s (1 - t), the average

@@ -14,7 +14,7 @@ import os
 import signal
 import sys
 
-from .average import average_kernel, population_average_oracle, pre_exponential_factor
+from .average import ORACLE_RTOL, average_kernel, population_average_oracle, pre_exponential_factor
 from .extrapolate import FIT_ORDERS, error_sequence, fit_orders, fit_window
 from .kernels import BUILTIN_IDS, builtin_kernel, parse_kernel
 from .rules import default_cache_dir
@@ -25,7 +25,6 @@ from .tensor_quad import load_rules
 # not one computation repeated: the u = 0.5 and u = 2 rows are what catch a
 # kernel whose declared q is wrong (test_check_detects_wrong_degree).
 _CHECK_U = (0.5, 1.0, 2.0)
-_ORACLE_RTOL = 1e-5
 _CHECK_COLUMNS = ("u", "beta_bar", "oracle", "delta", "tol")
 # The largest --points/--max-points accepted.  report and check at k = 2000
 # build or read 16 rules and take 1.3-1.4 s uncached (SD, 2 CPUs).  converge
@@ -123,7 +122,7 @@ def _emit_json(payload) -> None:
 
 
 def _q_fraction(q: float) -> str:
-    """q as n/d in lowest terms when within 1e-12 of one with d <= 48.
+    """q as n/d when within 1e-12 of one with d <= 48, else to 12 significant digits.
 
     Two such fractions lie at least 1/(48*47) apart, so the smallest d that
     fits gives the closest fraction, in lowest terms."""
@@ -131,7 +130,7 @@ def _q_fraction(q: float) -> str:
         n = round(q * d)
         if abs(n / d - q) < 1e-12:
             return f"{n}/{d}" if d != 1 else str(n)
-    return repr(q)
+    return f"{q:.12g}"
 
 
 def _beta_display(p: float, q: float) -> str:
@@ -252,14 +251,14 @@ def cmd_check(args, cache_dir) -> int:
     k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for check")
     spec = _kernel(args)
     result = pre_exponential_factor(spec, load_rules(fit_orders(k_max), cache_dir))
-    rem = result.remainder_value
+    rem = result.fit.remainder
     rows = []
     for u in _CHECK_U:
-        oracle = population_average_oracle(spec, u, rtol=_ORACLE_RTOL)
+        oracle = population_average_oracle(spec, u)
         beta = average_kernel(result, u)
-        tol = _ORACLE_RTOL * max(1.0, abs(oracle))
+        tol = ORACLE_RTOL * max(1.0, abs(oracle))
         if rem is not None:
-            tol = max(tol, 2.0 * rem * u ** result.q)
+            tol = max(tol, rem * u ** result.q)
         rows.append((u, beta, oracle, abs(oracle - beta), tol))
     passed = all(delta <= tol for *_, delta, tol in rows)
 

@@ -128,9 +128,11 @@ _TOKEN_RE = re.compile(
 # below it, to the right.  Unary '-' and abs bind tighter than any of them.
 _BINARY = {"+": (1, 2, np.add), "-": (1, 2, np.subtract), "*": (3, 4, np.multiply),
            "/": (3, 4, np.divide), "^": (6, 5, np.power)}
-_UNARY = {"neg": np.negative, "abs": np.abs}
-_VARIABLES = {"x": "x", "eta": "x", "y": "y", "eta1": "y"}
-_OPERAND_EXPECTED = ("a number", "'x'", "'y'", "'eta'", "'eta1'", "'abs'", "'('", "'-'")
+_FUNCTIONS = {"abs": np.abs}
+_UNARY = {"neg": np.negative, **_FUNCTIONS}
+_VARIABLES = {"x": "x", "y": "y", "eta": "x", "eta1": "y"}
+_OPERAND_EXPECTED = ("a number", *(f"'{name}'" for name in (*_VARIABLES, *_FUNCTIONS)),
+                     "'('", "'-'")
 
 
 def _tokenize(text):
@@ -185,9 +187,9 @@ class _Parser:
         if self.tokens[self.i][0] == "num":
             # an overflowing literal fails here as in the q= prefix
             return ("num", self.parse_number())
-        if self.take("name", "abs"):
+        if function := self.take("name", *_FUNCTIONS):
             self.expect("(")
-            node = ("abs", self.parse_expr())
+            node = (function[1], self.parse_expr())
         elif self.take("op", "("):
             node = self.parse_expr()
         else:

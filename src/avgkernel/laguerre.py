@@ -23,19 +23,17 @@ def _recurrence_scaled(k: int, x, degree):
     x is an array of floats and degree an integer array of the same length,
     each entry in 1..k.  Returns (prev, cur, shift), arrays of x's length,
     where L_{d-1}(x) = prev * 2**shift and L_d(x) = cur * 2**shift for the
-    element's degree d.  k - 1 steps run; an element leaves the loop once
+    element's degree d.  k - 1 steps run; an element stops taking them once
     it reaches its degree.
     """
     # largest degree first, so the elements still running are a prefix:
-    # live[n] of them take step n; out collects (prev, cur, shift) of
-    # the finished ones in this order
+    # live[n] of them take step n.  L_n is terms[n % 2], and step n writes
+    # L_{n+1} over L_{n-1}, so a finished element keeps its terms in place
     descending = -np.asarray(degree)
     order = np.argsort(descending, kind="stable")
     x = np.asarray(x, dtype=float)[order]
     live = np.searchsorted(descending[order], -np.arange(k)).tolist()
-    out = (np.empty_like(x), np.empty_like(x), np.empty(len(x), np.int64))
-    prev = np.ones(len(x))
-    cur = 1.0 - x
+    terms = (np.ones(len(x)), 1.0 - x)
     shift = np.zeros(len(x), dtype=np.int64)
     # Renormalizing by a power of two is exact, so how often it happens
     # does not change the result.  A check brings max(|prev|, |cur|) of
@@ -45,20 +43,16 @@ def _recurrence_scaled(k: int, x, degree):
     g = 3.0 * k + 3.0 + float(np.max(abs(x), initial=0.0))
     every = max(1, int(256.0 / math.log2(g))) if g < math.inf else 1
     for n in range(1, k):
-        if live[n] < len(x):
-            # the elements of degree n are finished
-            a = live[n]
-            for o, v in zip(out, (prev[a:], cur[a:], shift[a:])):
-                o[a:len(x)] = v
-            x, prev, cur, shift = x[:a], prev[:a], cur[:a], shift[:a]
+        a = live[n]
+        prev, cur = terms[(n - 1) % 2][:a], terms[n % 2][:a]
         if n % every == 0:
             e = np.frexp(np.maximum(abs(prev), abs(cur)))[1]
-            prev, cur, shift = np.ldexp(prev, -e), np.ldexp(cur, -e), shift + e
-        prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
-    result = []
-    for o, v in zip(out, (prev, cur, shift)):
-        o[:len(x)] = v
-        values = np.empty_like(o)
-        values[order] = o
-        result.append(values)
-    return tuple(result)
+            prev[...], cur[...] = np.ldexp(prev, -e), np.ldexp(cur, -e)
+            shift[:a] += e
+        prev[...] = ((2 * n + 1 - x[:a]) * cur - n * prev) / (n + 1)
+    even = descending[order] % 2 == 0
+    terms[0][even], terms[1][even] = terms[1][even], terms[0][even]
+    result = tuple(np.empty_like(v) for v in (*terms, shift))
+    for values, v in zip(result, (*terms, shift)):
+        values[order] = v
+    return result

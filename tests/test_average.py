@@ -318,7 +318,7 @@ def test_oracle_evaluates_in_bounded_blocks(monkeypatch):
 
 def test_average_agrees_with_oracle_at_moderate_order(cache_dir):
     # the halved-quadrature result and the oracle must agree within the
-    # oracle tolerance plus twice the remainder estimate
+    # larger of the oracle tolerance and twice the remainder on the scale of p
     spec = builtin_kernel("CR")
     result = pre_exponential_factor(spec, load_rules(range(1, 101), cache_dir))
     for u in (0.5, 1.0, 2.0):

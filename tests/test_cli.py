@@ -757,8 +757,10 @@ def test_beta_bar_follows_the_printed_degree(kernel, builtin, capsys):
 def test_beta_display_takes_the_printed_fraction():
     assert cli._beta_display(2.0, -5e-18) == "2.0000"
     assert cli._beta_display(2.0, 1.0 - 2.0 ** -52) == "2.0000*u"
-    # no fraction with a denominator up to 48 is within 1e-12: q as repr
+    # no fraction with a denominator up to 48 is within 1e-12: q to 12
+    # significant digits, so the rounding noise of an estimated q goes
     assert cli._beta_display(2.0, 0.0123) == "2.0000*u^(0.0123)"
+    assert cli._beta_display(4.1789, 0.010000000000000005) == "4.1789*u^(0.01)"
 
 
 def test_numeric_failure_exits_3(cache_dir):

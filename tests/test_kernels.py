@@ -229,6 +229,17 @@ def test_parse_error_reports_offset():
     assert info.value.expected == ("a number",)
 
 
+def test_missing_operand_names_every_operand():
+    # the error lists exactly the variables and functions parse_unary takes
+    with pytest.raises(KernelSyntaxError) as info:
+        parse_kernel("x + ")
+    assert info.value.expected == kernels._OPERAND_EXPECTED == (
+        "a number", "'x'", "'y'", "'eta'", "'eta1'", "'abs'", "'('", "'-'")
+    for name in (*kernels._VARIABLES, *kernels._FUNCTIONS):
+        text = f"{name}(x)" if name in kernels._FUNCTIONS else name
+        assert kernels._Parser(kernels._tokenize(text)).parse_unary()
+
+
 def test_explicit_degree_must_be_finite():
     # in the q= prefix and in the expression alike; 1e-400 underflows to 0.0
     for text, offset in (("q=1e400; x*y/(x+y)", 2), ("q=-1e400; x*y", 3),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgkernel.laguerre import _recurrence_scaled
 from fractions import Fraction
@@ -92,6 +94,32 @@ def test_recurrence_matches_stepwise_reference_bitwise():
     got = [_normalized_values(float(p), float(c), int(s))
            for p, c, s in zip(prev, cur, shift)]
     assert got == expected
+
+
+@st.composite
+def recurrence_inputs(draw):
+    """k in 1..400 and 1 to 40 elements: x is 0 or in [0, 4k+2], and the
+    degrees are in 1..k, in any order and with repeats."""
+    k = draw(st.integers(1, 400))
+    size = draw(st.integers(1, 40))
+    point = st.one_of(st.just(0.0), st.floats(0.0, 4.0 * k + 2.0))
+    x = draw(st.lists(point, min_size=size, max_size=size))
+    degree = draw(st.lists(st.integers(1, k), min_size=size, max_size=size))
+    return k, np.array(x), np.array(degree)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(recurrence_inputs())
+def test_recurrence_matches_stepwise_on_random_inputs(inputs):
+    k, x, degree = inputs
+    x_before, degree_before = x.copy(), degree.copy()
+    prev, cur, shift = _recurrence_scaled(k, x, degree)
+    got = [_normalized_values(float(p), float(c), int(s))
+           for p, c, s in zip(prev, cur, shift)]
+    expected = [_normalized_values(*recurrence_scaled_stepwise(int(d), float(v)))
+                for d, v in zip(degree, x)]
+    assert got == expected
+    assert np.array_equal(x, x_before) and np.array_equal(degree, degree_before)
 
 
 def test_derivative_matches_exact_series():
