@@ -78,11 +78,6 @@ def average_kernel(result: AverageKernelResult, u: float) -> float:
 ORACLE_RTOL = 1e-5
 # Kernels such as 1/x overflow below the smallest normal float.
 _TINY = np.finfo(float).tiny
-# The most s x t grid points the oracle evaluates at once.  A level is
-# taken in blocks of whole s rows, so a level within one block is summed
-# as a single array, and a finely resolved one needs tens of MB, not
-# hundreds.
-_BLOCK_POINTS = 1 << 18
 
 
 def _de_axes(h: float):
@@ -118,9 +113,9 @@ def population_average_oracle(spec: KernelSpec, u: float, points: int = 4000,
     It is not scaled by its declared degree q, so a wrong q shows away from
     u = 1.  One step h serves both axes; it halves from 1/2 until two
     successive levels agree within rtol, while the t axis holds at most
-    `points` nodes.  A level is summed in blocks of s rows; a block's
-    weights are formed after its two kernel calls, so no weight array is
-    alive while the kernel runs and the kernel's temporaries set the peak.
+    `points` nodes.  A level is summed in blocks of s rows, each within
+    tensor_quad._BLOCK_VALUES points; a block's weights are formed after
+    its two kernel calls, so the kernel's temporaries set the peak.
     """
     if u <= 0:
         raise ValueError("u must be > 0")
@@ -134,7 +129,7 @@ def population_average_oracle(spec: KernelSpec, u: float, points: int = 4000,
                 f"oracle refinements disagree: {values[-2]!r} vs {values[-1]!r}"
                 f" (tolerance {rtol:g}; the next level needs over {points} nodes)"
             )
-        rows = max(1, _BLOCK_POINTS // len(t))
+        rows = max(1, tensor_quad._BLOCK_VALUES // len(t))
         total = 0.0
         for lo in range(0, len(s), rows):
             us, wb = u * s[lo:lo + rows], ws[lo:lo + rows]

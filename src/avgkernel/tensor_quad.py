@@ -2,14 +2,14 @@
 
 Only square rules (the same order on both axes) are supported.  The double
 sum is contracted as w @ (vals @ w), with the kernel values and their row
-sums vals @ w taken in blocks of whole rows, so no array larger than one
-block is formed at any order: about 2**16 values (0.5 MB), or 64 rows
-above order 1024 (1 MB at order 2000).  Its summation order is the BLAS
-library's, fixed for one library and CPU: repeated runs on one machine
-are bitwise identical, another BLAS build may differ in the last bits.
-integrate_2d raises every failure of a sum, naming the rule's order.
-load_rules reads or builds the rules of the orders given, once each, and
-every series a command runs over them shares that list.
+sums taken in blocks of whole rows, so no array larger than one block is
+formed at any order: about 2**16 values (0.5 MB), or 64 rows above order
+1024 (1 MB at order 2000).  The same budget bounds the oracle's blocks in
+average.  The summation order is the BLAS library's, fixed for one library
+and CPU: repeated runs on one machine are bitwise identical, another BLAS
+build may differ in the last bits.  integrate_2d raises every failure of a
+sum, naming the rule's order.  load_rules reads or builds the rules of the
+orders given, once each, and every series of a command shares them.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 from .rules import QuadratureRule, compute_rules, load_or_compute_rule, uncached_orders
 
 
-# Kernel values per block of the 2D sum.  The series 1..361 of five kernels
-# took 0.55 s in blocks of 2**16 values, 0.60 s as whole k x k arrays and
-# 0.63 s in blocks of 2**15 values (in-process, with cli._keep_freed_memory).
+# Kernel values per block of the 2D sum and of the oracle, which reads it at
+# call time.  Series 1..361 of five kernels took 0.55 s in blocks of 2**16,
+# 0.60 s as k x k arrays, 0.63 s in 2**15 (in-process, cli._keep_freed_memory).
 _BLOCK_VALUES = 1 << 16
 
 

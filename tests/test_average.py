@@ -14,7 +14,7 @@ from avgkernel.average import (
     population_average_oracle,
     pre_exponential_factor,
 )
-from avgkernel import average
+from avgkernel import average, tensor_quad
 from avgkernel.extrapolate import Fit, error_sequence, fit_slope, full_report
 from avgkernel.kernels import builtin_kernel, eval_kernel, parse_kernel
 from avgkernel.rules import load_or_compute_rule
@@ -290,12 +290,12 @@ def test_oracle_evaluates_the_kernel_at_few_points(monkeypatch):
 @pytest.mark.parametrize("block_points", [100, 1000])
 @pytest.mark.parametrize("kernel", ["FM", "SD"])
 def test_oracle_blocks_agree_with_one_block(kernel, block_points, monkeypatch):
-    # a builtin's levels fit in one block at the default cap; split into
-    # blocks of whole s rows (one row each at 100 points), the level sums
-    # in another order but to the same value
+    # a builtin's levels fit in one block at the shared default budget;
+    # split into blocks of whole s rows (one row each at 100 points), the
+    # level sums in another order but to the same value
     spec = builtin_kernel(kernel)
     whole = [population_average_oracle(spec, u) for u in (0.5, 2.0)]
-    monkeypatch.setattr(average, "_BLOCK_POINTS", block_points)
+    monkeypatch.setattr(tensor_quad, "_BLOCK_VALUES", block_points)
     for u, one_block in zip((0.5, 2.0), whole):
         assert population_average_oracle(spec, u) == pytest.approx(one_block, rel=1e-14)
 
@@ -312,8 +312,8 @@ def test_oracle_evaluates_in_bounded_blocks(monkeypatch):
 
     monkeypatch.setattr(average, "eval_kernel", counted)
     population_average_oracle(parse_kernel("q=1; abs(x-2*y)"), 1.0)
-    assert sum(sizes) > 10 * average._BLOCK_POINTS
-    assert max(sizes) <= average._BLOCK_POINTS
+    assert sum(sizes) > 10 * tensor_quad._BLOCK_VALUES
+    assert max(sizes) <= tensor_quad._BLOCK_VALUES
 
 
 def test_average_agrees_with_oracle_at_moderate_order(cache_dir):
