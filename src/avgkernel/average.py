@@ -67,11 +67,31 @@ def pre_exponential_factor(spec: KernelSpec, rules: list[QuadratureRule],
                                full_report([r.order for r in rules], values, fit_window))
 
 
-def average_kernel(result: AverageKernelResult, u: float) -> float:
-    """beta_bar = p * u^q."""
+class ScaleError(ArithmeticError):
+    """u^q, p*u^q or the remainder times u^q is not a finite float."""
+
+
+def at_u(result: AverageKernelResult, u: float) -> tuple[float, float | None]:
+    """beta_bar = p * u^q and the fit's remainder times u^q (None when it
+    has no estimate), from one u^q.  Raises ScaleError, naming u and q,
+    when u^q or either product is not finite."""
     if u <= 0:
         raise ValueError("u must be > 0")
-    return result.p * u ** result.q
+    try:
+        scale = u ** result.q
+    except OverflowError:  # float ** raises where float * gives inf
+        scale = math.inf
+    r = result.fit.remainder
+    beta, r_u = result.p * scale, None if r is None else r * scale
+    if not all(math.isfinite(v) for v in (scale, beta, r_u) if v is not None):
+        raise ScaleError(f"beta_bar = p*u^q or R*u^q is not finite at u = {u:g},"
+                         f" q = {result.q!r}")
+    return beta, r_u
+
+
+def average_kernel(result: AverageKernelResult, u: float) -> float:
+    """beta_bar = p * u^q."""
+    return at_u(result, u)[0]
 
 
 # The oracle's tolerance, relative to max(1, |value|); check passes within it.

@@ -14,7 +14,7 @@ import os
 import signal
 import sys
 
-from .average import ORACLE_RTOL, average_kernel, population_average_oracle, pre_exponential_factor
+from .average import ORACLE_RTOL, at_u, population_average_oracle, pre_exponential_factor
 from .extrapolate import FIT_ORDERS, error_sequence, fit_orders, fit_window
 from .kernels import BUILTIN_IDS, builtin_kernel, parse_kernel
 from .rules import default_cache_dir
@@ -251,14 +251,13 @@ def cmd_check(args, cache_dir) -> int:
     k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for check")
     spec = _kernel(args)
     result = pre_exponential_factor(spec, load_rules(fit_orders(k_max), cache_dir))
-    rem = result.fit.remainder
     rows = []
     for u in _CHECK_U:
+        beta, rem = at_u(result, u)
         oracle = population_average_oracle(spec, u)
-        beta = average_kernel(result, u)
         tol = ORACLE_RTOL * max(1.0, abs(oracle))
         if rem is not None:
-            tol = max(tol, rem * u ** result.q)
+            tol = max(tol, rem)
         rows.append((u, beta, oracle, abs(oracle - beta), tol))
     passed = all(delta <= tol for *_, delta, tol in rows)
 

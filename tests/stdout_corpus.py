@@ -11,7 +11,7 @@ at order 60, on a fresh temporary rule cache; then `table3` once more with
 caching disabled, which builds every rule in the process;
 then, again in both formats, the invocations of EDGE_CASES, which reach
 the other statuses and exit codes, the largest rule order and the paper's
-Table 3 at its default order: 90 invocations in all.
+Table 3 at its default order: 94 invocations in all.
 
 It writes tests/corpus_golden.json: for each invocation its arguments,
 exit code, standard error, standard output with every number replaced by
@@ -52,7 +52,8 @@ KERNELS = (
 # operator node: unary '-', abs, '+', '-', '*', '/' and '^', and the
 # constant-only -(1/2); a kernel text with a line break, whose label is
 # single-spaced, one whose oracle overflows (exit 3, one line of standard
-# error), and one wrapped in 400 parentheses.
+# error), one wrapped in 400 parentheses, and two whose beta_bar = p*u^q
+# is not finite at u = 2, one by p*u^q and one by u^q alone (exit 3).
 EDGE_CASES = (
     ["rule", "--points", "2000"],
     ["table3"],
@@ -76,6 +77,8 @@ EDGE_CASES = (
     ["report", "--kernel", "x*y\n*(x+y)", "--max-points", "30"],
     ["check", "--kernel", "1e300*(x^-0.99*y + x*y^-0.99)", "--max-points", "120"],
     ["report", "--kernel", "(" * 400 + "x+y" + ")" * 400, "--max-points", "20"],
+    ["check", "--kernel", "q=40; 1e300*(x+y)", "--max-points", "20"],
+    ["check", "--kernel", "q=2000; x+y", "--max-points", "20"],
 )
 
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from avgkernel.average import (
     AverageKernelResult,
     ResolutionError,
+    ScaleError,
+    at_u,
     average_kernel,
     population_average_oracle,
     pre_exponential_factor,
@@ -118,6 +120,28 @@ def test_average_kernel_rejects_bad_u():
         average_kernel(result, 0.0)
     with pytest.raises(ValueError):
         average_kernel(result, -2.0)
+
+
+def test_at_u_scales_p_and_remainder_by_one_power():
+    result = result_with(2.0, 4.0 / 3.0, Fit("estimated", (10, 19), 1e-3, -3.0, 0.25))
+    scale = 2.0 ** (4.0 / 3.0)
+    assert at_u(result, 2.0) == (2.0 * scale, 0.25 * scale)
+    divergent = Fit("divergent", (10, 19), 1e-3, -0.5, None)
+    assert at_u(result_with(2.0, 1.0, divergent), 2.0) == (4.0, None)
+
+
+@pytest.mark.parametrize("p, q, remainder", [
+    (1.0, 2000.0, 0.0),  # u^q overflows: float ** raises OverflowError
+    (1e300, 40.0, 0.0),  # u^q is finite, p*u^q is not
+    (1.0, 40.0, 1e300),  # p*u^q is finite, R*u^q is not
+    (0.0, 2000.0, 0.0),  # 0 * inf
+])
+def test_at_u_raises_scale_error_naming_u_and_q(p, q, remainder):
+    result = result_with(p, q, Fit("estimated", (10, 19), 1e-3, -3.0, remainder))
+    with pytest.raises(ScaleError, match=f"at u = 2, q = {q!r}$") as info:
+        at_u(result, 2.0)
+    assert isinstance(info.value, ArithmeticError)
+    at_u(result, 0.5)  # the same result is finite where u^q shrinks it
 
 
 @pytest.mark.parametrize("kernel", [

@@ -734,6 +734,19 @@ def test_line_break_in_a_kernel_stays_in_its_csv_row(capsys):
     assert lines[1].startswith("x*y *(x+y),")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kernel, q", [("q=40; 1e300*(x+y)", "40.0"), ("q=2000; x+y", "2000.0")],
+                         ids=["beta_bar overflows", "u^q overflows"])
+def test_check_overflowing_beta_bar_exits_3(kernel, q, fmt, capsys):
+    # no infe0 row, no Infinity in the json and no bare errno text: the
+    # u = 2 row stops the command before anything is written
+    argv = ["check", "--kernel", kernel, "--max-points", "20", "--format", fmt,
+            "--cache-dir", ""]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == (
+        "", f"avgkernel: beta_bar = p*u^q or R*u^q is not finite at u = 2, q = {q}\n")
+
+
 def test_oracle_overflow_writes_one_line_to_stderr(cache_dir):
     cp = run_cli("check", "--kernel", "1e300*(x^-0.99*y + x*y^-0.99)", "--max-points", "120",
                  cache=cache_dir)

@@ -16,6 +16,7 @@ on the scale of their series.  Each tolerance is about ten times its drift.
 import contextlib
 import io
 import json
+import re
 
 import pytest
 
@@ -37,6 +38,8 @@ CSV_COLUMNS = {"rule": ("order", "nodes", "weights"),
 
 GOLDEN_ENTRIES = json.loads(GOLDEN.read_text(encoding="utf-8"))
 CORPUS = list(invocations())
+# how Python's format and json write a number that is not finite
+NON_FINITE = re.compile(r"\b(?:inf|nan)", re.IGNORECASE)
 
 
 def run_in_process(args, cache):
@@ -111,6 +114,13 @@ def corpus_cache(tmp_path_factory):
 
 def test_golden_covers_the_corpus():
     assert [entry["args"] for entry in GOLDEN_ENTRIES] == CORPUS
+
+
+def test_golden_holds_no_non_finite_number():
+    # the skeleton keeps every non-numeric token, inf and nan among them
+    for entry in GOLDEN_ENTRIES:
+        assert not NON_FINITE.search(entry["text"]), shown(entry["args"])
+        assert not NON_FINITE.search(json.dumps(entry["fields"])), shown(entry["args"])
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)),
