@@ -46,7 +46,8 @@ class AverageKernelResult:
     @property
     def remainder_value(self) -> float | None:
         """The remainder on the scale of p: 0 when exact, None when no
-        finite estimate exists or no fit was made."""
+        finite estimate exists or no fit was made.  Only the benchmark's
+        tracer reads it; ROADMAP items 11 and 12 retire it."""
         r = self.fit.remainder
         return None if r is None else r / 2.0
 

@@ -114,7 +114,10 @@ def run(src: Path, args: list[str], cache: str) -> subprocess.CompletedProcess:
 
 
 def shown(args: list[str]) -> str:
-    return " ".join(arg or "''" for arg in args)
+    """args on one line: an empty argument as '', and one that holds
+    whitespace in single quotes, with a line break written as \\n."""
+    return " ".join("''" if not arg else arg if not any(c.isspace() for c in arg)
+                    else "'" + arg.replace("\n", "\\n") + "'" for arg in args)
 
 
 def golden_fields(args: list[str], stdout: str) -> dict[str, list]:

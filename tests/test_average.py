@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgkernel.average import (
+    ORACLE_RTOL,
     AverageKernelResult,
     ResolutionError,
     ScaleError,
@@ -341,14 +342,14 @@ def test_oracle_evaluates_in_bounded_blocks(monkeypatch):
 
 
 def test_average_agrees_with_oracle_at_moderate_order(cache_dir):
-    # the halved-quadrature result and the oracle must agree within the
-    # larger of the oracle tolerance and twice the remainder on the scale of p
+    # the halved-quadrature result and the oracle must agree by check's
+    # rule: within the larger of the oracle tolerance and R*u^q
     spec = builtin_kernel("CR")
     result = pre_exponential_factor(spec, load_rules(range(1, 101), cache_dir))
     for u in (0.5, 1.0, 2.0):
         oracle = population_average_oracle(spec, u)
         got = average_kernel(result, u)
-        tol = max(1e-5 * max(1.0, abs(oracle)), 2.0 * result.remainder_value * u**result.q)
+        tol = max(ORACLE_RTOL * max(1.0, abs(oracle)), result.fit.remainder * u**result.q)
         assert abs(got - oracle) <= tol
 
 

@@ -123,6 +123,14 @@ def test_golden_holds_no_non_finite_number():
         assert not NON_FINITE.search(json.dumps(entry["fields"])), shown(entry["args"])
 
 
+def test_every_invocation_shows_on_one_line():
+    texts = [shown(args) for args in CORPUS]
+    assert all("\n" not in text for text in texts)
+    assert len(set(texts)) == len(CORPUS)
+    assert shown(["report", "--kernel", "x*y\n*(x+y)", "--cache-dir", ""]) == (
+        "report --kernel 'x*y\\n*(x+y)' --cache-dir ''")
+
+
 @pytest.mark.parametrize("index", range(len(CORPUS)),
                          ids=[shown(args) for args in CORPUS])
 def test_corpus_matches_golden(index, corpus_cache):
