@@ -90,11 +90,6 @@ def at_u(result: AverageKernelResult, u: float) -> tuple[float, float | None]:
     return beta, r_u
 
 
-def average_kernel(result: AverageKernelResult, u: float) -> float:
-    """beta_bar = p * u^q."""
-    return at_u(result, u)[0]
-
-
 # The oracle's tolerance, relative to max(1, |value|); check passes within it.
 ORACLE_RTOL = 1e-5
 # Kernels such as 1/x overflow below the smallest normal float.

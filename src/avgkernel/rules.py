@@ -44,6 +44,9 @@ _HEADER_RE = re.compile(
 _CHECKSUM_MARKER = b"# sha256="
 # the last line of a cache file: the marker, 64 hex digits and a newline
 _TRAILER_LEN = len(_CHECKSUM_MARKER) + 64 + 1
+# the most bytes an order-k file holds besides its 16 k: the trailer and a
+# header line (51 bytes at order 2000)
+_FRAME_MAX = _TRAILER_LEN + 128
 
 
 class ConvergenceError(RuntimeError):
@@ -230,6 +233,8 @@ def _serialize_rule(rule: QuadratureRule) -> bytes:
 
 
 def _parse_cache_bytes(data: bytes, k: int) -> QuadratureRule:
+    if len(data) > 16 * k + _FRAME_MAX:
+        raise _CorruptCache("longer than an order-k file")
     body = data[:-_TRAILER_LEN]
     # a file shorter than the trailer leaves an empty body and a short trailer
     if data[len(body):] != _trailer(body):
@@ -275,8 +280,8 @@ def _cache_name(k: int) -> str:
 
 
 def uncached_orders(orders, cache_dir: str | os.PathLike | None) -> list[int]:
-    """The orders for which cache_dir holds no file, valid or not, in
-    their order: every order when cache_dir disables caching or does not
+    """The orders for which cache_dir holds no regular file, valid or not,
+    in their order: every order when cache_dir disables caching or does not
     exist.  One directory listing serves all orders."""
     if not _caching(cache_dir):
         return list(orders)
@@ -302,12 +307,14 @@ def load_or_compute_rule(k: int, cache_dir: str | os.PathLike | None,
     and replaced.  An empty cache_dir (or None) disables caching entirely.
     Writes go through a temp file and os.replace, so concurrent readers
     never see partials.  built, a rule of order k the caller has already
-    constructed, stands in for compute_rule.
+    constructed for an order uncached_orders listed, stands in for
+    compute_rule, and the file is written without being read.  A read
+    takes at most one byte more than the longest order-k file.
     """
-    if _caching(cache_dir):
+    if _caching(cache_dir) and built is None:
         try:
             with open(os.path.join(cache_dir, _cache_name(k)), "rb", opener=_nonblocking) as fh:
-                return _parse_cache_bytes(fh.read(), k)
+                return _parse_cache_bytes(fh.read(16 * k + _FRAME_MAX + 1), k)
         except (FileNotFoundError, NotADirectoryError, IsADirectoryError, _CorruptCache):
             pass
     rule = built if built is not None else compute_rule(k)

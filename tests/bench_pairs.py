@@ -10,7 +10,8 @@ from each root, each in its own directory, the parent first in even pairs
 and the change first in odd ones, and reads the last JSON line of each run.
 Each run's metrics go to stderr as it ends.  Stdout gets one row per
 end-to-end metric of the parent's BENCHMARK.json: the medians and quartiles
-of both sides, the pairs the change won, and the verdict of `verdict`.
+of both sides, the pairs the change won, and the verdict of `verdict`
+with its bound, a share of the parent's median (0.05 reads "bound 5%").
 A last line counts the failed operations of each side.
 """
 
@@ -116,7 +117,7 @@ def main(argv=None) -> int:
         print(f"{name:12s} {pm:.4g} [{p1:.4g}, {p3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}] "
               f"{metric['unit']}  {moved}  wins {wins(parent, change, metric['better'])}/{args.pairs}  "
               f"{verdict(parent, change, metric['better'], metric['bound'])} "
-              f"(bound {metric['bound']:g})")
+              f"(bound {metric['bound']:.0%})")
     failed = {side: (sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs))
               for side, rs in runs.items()}
     print(f"# failed operations: parent {failed['parent'][0]}/{failed['parent'][1]}, "

@@ -13,7 +13,6 @@ from avgkernel.average import (
     ResolutionError,
     ScaleError,
     at_u,
-    average_kernel,
     population_average_oracle,
     pre_exponential_factor,
 )
@@ -109,18 +108,18 @@ def test_error_estimate_on_the_closed_form_family(a, b, rules_120):
 
 def test_average_kernel_power_law():
     result = result_with(2.0, 4.0 / 3.0)
-    assert average_kernel(result, 1.0) == 2.0
-    ratio = average_kernel(result, 2.0) / average_kernel(result, 1.0)
+    assert at_u(result, 1.0)[0] == 2.0
+    ratio = at_u(result, 2.0)[0] / at_u(result, 1.0)[0]
     assert ratio == pytest.approx(2.0 ** (4.0 / 3.0), rel=1e-15)
-    assert average_kernel(result, 0.5) == pytest.approx(2.0 * 0.5 ** (4.0 / 3.0), rel=1e-15)
+    assert at_u(result, 0.5)[0] == pytest.approx(2.0 * 0.5 ** (4.0 / 3.0), rel=1e-15)
 
 
 def test_average_kernel_rejects_bad_u():
     result = result_with(1.0, 1.0)
     with pytest.raises(ValueError):
-        average_kernel(result, 0.0)
+        at_u(result, 0.0)
     with pytest.raises(ValueError):
-        average_kernel(result, -2.0)
+        at_u(result, -2.0)
 
 
 def test_at_u_scales_p_and_remainder_by_one_power():
@@ -348,7 +347,7 @@ def test_average_agrees_with_oracle_at_moderate_order(cache_dir):
     result = pre_exponential_factor(spec, load_rules(range(1, 101), cache_dir))
     for u in (0.5, 1.0, 2.0):
         oracle = population_average_oracle(spec, u)
-        got = average_kernel(result, u)
+        got = at_u(result, u)[0]
         tol = max(ORACLE_RTOL * max(1.0, abs(oracle)), result.fit.remainder * u**result.q)
         assert abs(got - oracle) <= tol
 

@@ -14,6 +14,11 @@ from avgkernel import average, cli, extrapolate, rules, tensor_quad
 from avgkernel.kernels import builtin_kernel
 from support import version_4_file
 
+try:
+    import resource
+except ImportError:  # no address-space limits outside Unix
+    resource = None
+
 
 def run_cli(*args, cache=None):
     env = dict(os.environ)
@@ -462,6 +467,49 @@ def test_named_pipe_in_place_of_a_cache_file_is_replaced(tmp_path):
     assert cp.stdout == run_cli("rule", "--points", "3").stdout
     assert (tmp_path / "glq_3.csv").is_file()
     assert rules.load_or_compute_rule(3, tmp_path).order == 3
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_orders_listed_uncached_are_written_unread(tmp_path, monkeypatch, capsys):
+    # the one directory listing decides every miss: what it lists is built
+    # and written, its entry never opened, so a device link is replaced
+    (tmp_path / "glq_5.csv").symlink_to("/dev/zero")
+    argv = ["table3", "--max-points", "21", "--cache-dir", str(tmp_path)]
+    with monkeypatch.context() as patch:
+        patch.setattr(rules, "_nonblocking", lambda path, flags: pytest.fail(f"opened {path}"))
+        assert cli.main(argv) == 0
+    cold = capsys.readouterr()
+    assert not (tmp_path / "glq_5.csv").is_symlink()
+    assert rules.uncached_orders(range(1, 22), tmp_path) == []
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == cold
+
+
+def _cap_address_space():
+    # about 1.5 GiB: enough to run a command, and a runaway read fails fast
+    # in the child instead of using up the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+
+@pytest.mark.skipif(resource is None or not os.path.exists("/dev/zero"),
+                    reason="no address-space limit or no /dev/zero")
+@pytest.mark.parametrize("entry", ["symlink to /dev/zero", "4 GiB sparse file"])
+def test_endless_or_huge_cache_entry_is_replaced(entry, tmp_path):
+    # an entry that is no regular file is never opened, and a regular file
+    # is read no further than an order-5 file reaches: either is replaced
+    path = tmp_path / "glq_5.csv"
+    if entry == "symlink to /dev/zero":
+        path.symlink_to("/dev/zero")
+    else:
+        path.touch()
+        os.truncate(path, 4 << 30)
+    argv = [sys.executable, "-m", "avgkernel", "rule", "--points", "5", "--cache-dir", str(tmp_path)]
+    cp = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                        preexec_fn=_cap_address_space)
+    assert (cp.returncode, cp.stderr) == (0, "")
+    assert cp.stdout == run_cli("rule", "--points", "5").stdout
+    assert path.is_file() and not path.is_symlink()
+    assert rules._parse_cache_bytes(path.read_bytes(), 5).order == 5
 
 
 def test_table3_creates_a_missing_cache_dir(tmp_path, capsys):

@@ -360,10 +360,8 @@ def test_eval_rejects_non_positive_arguments():
 
 def test_scalar_domain_failure_raises():
     spec = parse_kernel("q=0; x/(x-y)")
-    with pytest.raises(KernelDomainError) as info:
+    with pytest.raises(KernelDomainError, match=r"^kernel undefined at \(x = 1\.0, y = 1\.0\)"):
         eval_kernel(spec, 1.0, 1.0)
-    assert info.value.x == 1.0
-    assert info.value.y == 1.0
 
 
 def test_array_eval_passes_non_finite_through():

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -506,6 +507,36 @@ def test_invariant_failures_behind_a_valid_checksum_are_rebuilt(
     rule = load_or_compute_rule(60, tmp_path)
     assert _same_rule(rule, good)
     assert path.read_bytes() == data
+
+
+def test_cache_file_longer_than_its_order_is_rebuilt(tmp_path):
+    # a read stops one byte past the longest order-k file, and that many
+    # bytes fail as corrupt whatever they hold
+    good = load_or_compute_rule(4, tmp_path)
+    path = tmp_path / "glq_4.csv"
+    data = path.read_bytes()
+    limit = 16 * 4 + rules._FRAME_MAX
+    assert len(data) < limit
+    with pytest.raises(rules._CorruptCache, match="checksum mismatch"):
+        rules._parse_cache_bytes(data + b"\0" * (limit - len(data)), 4)
+    with pytest.raises(rules._CorruptCache, match="longer than an order-k file"):
+        rules._parse_cache_bytes(data + b"\0" * (limit + 1 - len(data)), 4)
+    path.write_bytes(data + b"\0" * (1 << 20))
+    assert _same_rule(load_or_compute_rule(4, tmp_path), good)
+    assert path.read_bytes() == data
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_named_pipe_read_directly_is_replaced(tmp_path):
+    # the CLI never opens a pipe (uncached_orders lists it as missing), but
+    # a direct load does: it reads as empty instead of waiting for a writer
+    os.mkfifo(tmp_path / "glq_3.csv")
+    code = "import sys; from avgkernel import rules; print(rules.load_or_compute_rule(3, sys.argv[1]).order)"
+    cp = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                        capture_output=True, text=True, timeout=60)
+    assert (cp.returncode, cp.stdout, cp.stderr) == (0, "3\n", "")
+    assert (tmp_path / "glq_3.csv").is_file()
+    assert _same_rule(load_or_compute_rule(3, tmp_path), compute_rule(3))
 
 
 def test_cache_disabled_writes_nothing(tmp_path):
