@@ -114,13 +114,6 @@ def _emit(*cells) -> None:
                               else str(c) for c in cells) + "\n")
 
 
-def _emit_json(payload) -> None:
-    """Write payload as one line of JSON; only a JSON run loads json."""
-    import json
-
-    _emit(json.dumps(payload))
-
-
 def _q_fraction(q: float) -> str:
     """q as n/d when within 1e-12 of one with d <= 48, else to 12 significant digits.
 
@@ -145,109 +138,98 @@ def _ii(q: float, fit) -> str:
     return "no estimate" if fit.remainder is None else f"{q:.4f} ± {fit.remainder:.4f}"
 
 
-def cmd_rule(args, cache_dir) -> int:
+# Each command writes its csv lines through emit, which main makes _emit
+# for csv and a no-op for json, and returns its exit code and JSON payload.
+
+
+def cmd_rule(args, cache_dir, emit):
     rule = load_rules([_order(args.points, "--points", 1)], cache_dir)[0]
-    if args.format == "json":
-        _emit_json({
-            "order": rule.order,
-            "nodes": [float(x) for x in rule.nodes],
-            "weights": [float(w) for w in rule.weights],
-        })
-        return 0
     for i, (x, w) in enumerate(zip(rule.nodes, rule.weights), start=1):
-        _emit(i, x, w)
-    return 0
+        emit(i, x, w)
+    return 0, {
+        "order": rule.order,
+        "nodes": rule.nodes.tolist(),
+        "weights": rule.weights.tolist(),
+    }
 
 
-def cmd_converge(args, cache_dir) -> int:
+def cmd_converge(args, cache_dir, emit):
     k_max = _order(args.max_points, "--max-points", 2)
     spec = _kernel(args)
     window = _fit_window(args, k_max)
     result = pre_exponential_factor(spec, load_rules(range(1, k_max + 1), cache_dir), window)
     values, fit = result.values, result.fit
     eps = error_sequence(values)
-
-    if args.format == "json":
-        payload = {
-            "kernel": spec.label,
-            "k_max": k_max,
-            "orders": list(range(1, k_max + 1)),
-            "values": values,
-            "errors": eps,
-            "status": fit.status,
-        }
-        if fit.status != "short":
-            payload.update({"C": fit.slope, "R": fit.remainder, "Q": values[-1],
-                            "fit_window": list(fit.window), "II": _ii(values[-1], fit)})
-        _emit_json(payload)
-        return 0
+    payload = {
+        "kernel": spec.label,
+        "k_max": k_max,
+        "orders": list(range(1, k_max + 1)),
+        "values": values,
+        "errors": eps,
+        "status": fit.status,
+    }
 
     for k, (value, e) in enumerate(zip(values, [*eps, None]), start=1):
-        _emit(k, value, e)
+        emit(k, value, e)
     if fit.status == "short":
-        _emit(f"# series too short for a remainder fit (need >= {FIT_ORDERS} orders)")
-        return 0
+        emit(f"# series too short for a remainder fit (need >= {FIT_ORDERS} orders)")
+        return 0, payload
+    ii = _ii(values[-1], fit)
+    payload.update({"C": fit.slope, "R": fit.remainder, "Q": values[-1],
+                    "fit_window": list(fit.window), "II": ii})
     if fit.status == "exact":
-        _emit("# converged exactly, R = 0")
+        emit("# converged exactly, R = 0")
     else:
-        _emit(f"# C = {format_float(fit.slope)} (fit window {fit.window[0]}:{fit.window[1]})")
-        _emit("# R = no estimate (C >= -1)" if fit.remainder is None
-              else f"# R = {format_float(fit.remainder)}")
-    _emit(f"# II = {_ii(values[-1], fit)}")
-    return 0
+        emit(f"# C = {format_float(fit.slope)} (fit window {fit.window[0]}:{fit.window[1]})")
+        emit("# R = no estimate (C >= -1)" if fit.remainder is None
+             else f"# R = {format_float(fit.remainder)}")
+    emit(f"# II = {ii}")
+    return 0, payload
 
 
-def cmd_report(args, cache_dir) -> int:
+def cmd_report(args, cache_dir, emit):
     k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for report")
     spec = _kernel(args)
     window = _fit_window(args, k_max)
     result = pre_exponential_factor(spec, load_rules(fit_orders(k_max, window), cache_dir),
                                     window)
     fit, q_k = result.fit, result.values[-1]
-    beta = _beta_display(result.p, result.q)
+    beta, ii = _beta_display(result.p, result.q), _ii(q_k, fit)
 
-    if args.format == "json":
-        _emit_json({
-            "kernel": spec.label,
-            "k_max": k_max,
-            "Q": q_k,
-            "eps": fit.anchor_error,
-            "C": fit.slope,
-            "R": fit.remainder,
-            "p": result.p,
-            "q": result.q,
-            "beta_bar": beta,
-            "status": fit.status,
-            "fit_window": list(fit.window),
-            "II": _ii(q_k, fit),
-        })
-        return 0
-
-    _emit("# columns: kernel,Q,eps_n,C,R,p,q,beta_bar")
-    _emit(spec.label, q_k, fit.anchor_error, fit.slope, fit.remainder, result.p, result.q, beta)
-    _emit(f"# II = {_ii(q_k, fit)}")
-    return 0
+    emit("# columns: kernel,Q,eps_n,C,R,p,q,beta_bar")
+    emit(spec.label, q_k, fit.anchor_error, fit.slope, fit.remainder, result.p, result.q, beta)
+    emit(f"# II = {ii}")
+    return 0, {
+        "kernel": spec.label,
+        "k_max": k_max,
+        "Q": q_k,
+        "eps": fit.anchor_error,
+        "C": fit.slope,
+        "R": fit.remainder,
+        "p": result.p,
+        "q": result.q,
+        "beta_bar": beta,
+        "status": fit.status,
+        "fit_window": list(fit.window),
+        "II": ii,
+    }
 
 
-def cmd_table3(args, cache_dir) -> int:
+def cmd_table3(args, cache_dir, emit):
     k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for table3")
     rows = []
-    if args.format == "csv":
-        _emit("# columns: type,p,q,beta_bar")
+    emit("# columns: type,p,q,beta_bar")
     # p = Q_k/2 needs rule k alone; 1..k still load, to check and fill the cache
     rules = load_rules(range(1, k_max + 1), cache_dir)[-1:]
     for kernel_id in BUILTIN_IDS:
         result = pre_exponential_factor(builtin_kernel(kernel_id), rules)
         beta = _beta_display(result.p, result.q)
-        if args.format == "csv":
-            _emit(kernel_id, result.p, result.q, beta)
+        emit(kernel_id, result.p, result.q, beta)
         rows.append({"type": kernel_id, "p": result.p, "q": result.q, "beta_bar": beta})
-    if args.format == "json":
-        _emit_json({"k_max": k_max, "rows": rows})
-    return 0
+    return 0, {"k_max": k_max, "rows": rows}
 
 
-def cmd_check(args, cache_dir) -> int:
+def cmd_check(args, cache_dir, emit):
     k_max = _order(args.max_points, "--max-points", FIT_ORDERS, " for check")
     spec = _kernel(args)
     result = pre_exponential_factor(spec, load_rules(fit_orders(k_max), cache_dir))
@@ -261,15 +243,12 @@ def cmd_check(args, cache_dir) -> int:
         rows.append((u, beta, oracle, abs(oracle - beta), tol))
     passed = all(delta <= tol for *_, delta, tol in rows)
 
-    if args.format == "json":
-        _emit_json({"kernel": spec.label, "k_max": k_max,
-                    **dict(zip(_CHECK_COLUMNS, zip(*rows))), "passed": passed})
-    else:
-        _emit("# columns: " + ",".join(_CHECK_COLUMNS))
-        for u, *values in rows:
-            _emit(f"{u:g}", *values)
-        _emit("# check passed" if passed else "# check FAILED")
-    return 0 if passed else 1
+    emit("# columns: " + ",".join(_CHECK_COLUMNS))
+    for u, *values in rows:
+        emit(f"{u:g}", *values)
+    emit("# check passed" if passed else "# check FAILED")
+    return (0 if passed else 1), {"kernel": spec.label, "k_max": k_max,
+                                  **dict(zip(_CHECK_COLUMNS, zip(*rows))), "passed": passed}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,8 +308,14 @@ def main(argv=None) -> int:
         if sys.stdout is None:  # started with fd 1 closed: no write can succeed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
+        csv = args.format == "csv"
         try:
-            return args.func(args, cache_dir)
+            rc, payload = args.func(args, cache_dir, _emit if csv else lambda *cells: None)
+            if not csv:  # one line of JSON, and only a JSON run loads json
+                import json
+
+                _emit(json.dumps(payload))
+            return rc
         finally:  # so a failed last write ends as any failed write does
             sys.stdout.flush()
     except ValueError as exc:

@@ -11,7 +11,7 @@ at order 60, on a fresh temporary rule cache; then `table3` once more with
 caching disabled, which builds every rule in the process;
 then, again in both formats, the invocations of EDGE_CASES, which reach
 the other statuses and exit codes, the largest rule order and the paper's
-Table 3 at its default order: 94 invocations in all.
+Table 3 at its default order: 98 invocations in all.
 
 It writes tests/corpus_golden.json: for each invocation its arguments,
 exit code, standard error, standard output with every number replaced by
@@ -52,8 +52,9 @@ KERNELS = (
 # operator node: unary '-', abs, '+', '-', '*', '/' and '^', and the
 # constant-only -(1/2); a kernel text with a line break, whose label is
 # single-spaced, one whose oracle overflows (exit 3, one line of standard
-# error), one wrapped in 400 parentheses, and two whose beta_bar = p*u^q
-# is not finite at u = 2, one by p*u^q and one by u^q alone (exit 3).
+# error), one wrapped in 400 parentheses, two whose beta_bar = p*u^q is
+# not finite at u = 2, one by p*u^q and one by u^q alone (exit 3), and a
+# two-order fit window where one order only has an error to fit (exit 3).
 EDGE_CASES = (
     ["rule", "--points", "2000"],
     ["table3"],
@@ -79,6 +80,8 @@ EDGE_CASES = (
     ["report", "--kernel", "(" * 400 + "x+y" + ")" * 400, "--max-points", "20"],
     ["check", "--kernel", "q=40; 1e300*(x+y)", "--max-points", "20"],
     ["check", "--kernel", "q=2000; x+y", "--max-points", "20"],
+    *([command, "--kernel", "x*y + 2e-06*abs(x-2*y)*abs(2*x-y)", "--max-points", "30",
+       "--fit-window", "26:27", "--cache-dir", ""] for command in ("converge", "report")),
 )
 
 

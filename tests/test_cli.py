@@ -139,6 +139,22 @@ def test_converge_rejects_fit_window_on_short_series(cache_dir):
     assert "--max-points >= 20" in cp.stderr
 
 
+# symmetric, q = 2; against the 1e-10 floor eps_26 is 2.16x, eps_27 0.72x
+# and the anchor eps_29 1.21x, so only order 26 of the window 26:27 has an
+# error to fit
+UNFITTABLE_WINDOW = ["--kernel", "x*y + 2e-06*abs(x-2*y)*abs(2*x-y)", "--max-points", "30",
+                     "--fit-window", "26:27", "--cache-dir", ""]
+
+
+@pytest.mark.parametrize("command", ["converge", "report"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_two_order_window_without_two_errors_exits_3(command, fmt, capsys):
+    # converge writes no row before its fit
+    assert cli.main([command, *UNFITTABLE_WINDOW, "--format", fmt]) == 3
+    assert capsys.readouterr() == (
+        "", "avgkernel: fit points with a positive error: 1, need 2\n")
+
+
 def test_converge_json(cache_dir):
     cp = run_cli("converge", "--kernel", "sc", "--max-points", "21",
                  "--format", "json", cache=cache_dir)
@@ -605,18 +621,24 @@ def test_process_entry_with_stdout_closed():
 _FOOTPRINT_IN_CHILD = """\
 import sys
 from avgkernel import cli
-rc = cli.main(["check", "--kernel", "(x^(1/6)+y^(1/6))*(x^(1/3)+y^(1/3))",
-               "--max-points", "21", "--cache-dir", "", "--format", {fmt!r}])
+rc = cli.main([*{argv!r}, "--cache-dir", "", "--format", {fmt!r}])
 print(rc, *(name in sys.modules for name in ("numpy.random", "json")), file=sys.stderr)
 """
+_EXPRESSION = "(x^(1/6)+y^(1/6))*(x^(1/3)+y^(1/3))"
 
 
+@pytest.mark.parametrize("argv", [
+    ["rule", "--points", "5"],
+    ["table3", "--max-points", "21"],
+    *([command, "--kernel", _EXPRESSION, "--max-points", "21"]
+      for command in ("converge", "report", "check")),
+], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("fmt, json_loaded", [("csv", False), ("json", True)])
-def test_check_imports_only_what_it_runs(fmt, json_loaded):
+def test_each_command_imports_only_what_it_runs(argv, fmt, json_loaded):
     # an expression kernel is sampled without numpy.random, and only a
     # JSON run loads json
-    cp = subprocess.run([sys.executable, "-c", _FOOTPRINT_IN_CHILD.format(fmt=fmt)],
-                        capture_output=True, text=True, timeout=60)
+    code = _FOOTPRINT_IN_CHILD.format(argv=argv, fmt=fmt)
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert cp.stderr == f"0 False {json_loaded}\n"
 
 
@@ -772,6 +794,22 @@ def test_400_parentheses_parse(capsys):
     deep = json.loads(capsys.readouterr().out)
     assert cli.main([*argv, "--kernel", "x+y"]) == 0
     assert {**deep, "kernel": "x+y"} == json.loads(capsys.readouterr().out)
+
+
+def test_kernel_starting_with_minus_needs_the_equals_form(capsys):
+    # argparse reads a separate value that starts with '-' as an option
+    argv = ["report", "--max-points", "21", "--cache-dir", ""]
+    assert cli.main([*argv, "--kernel=-x*y+2*x*y"]) == 0
+    minus = capsys.readouterr()
+    assert cli.main([*argv, "--kernel", "x*y"]) == 0
+    assert minus == (capsys.readouterr().out.replace("\nx*y,", "\n-x*y+2*x*y,"), "")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--kernel", "-x*y"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: avgkernel report")
+    assert err.endswith("error: argument --kernel: expected one argument\n")
 
 
 def test_line_break_in_a_kernel_stays_in_its_csv_row(capsys):

@@ -21,7 +21,7 @@ import re
 import pytest
 
 from avgkernel import cli
-from compare_stdout import fields, skeleton
+from compare_stdout import _NUMBER, fields, skeleton
 from stdout_corpus import GOLDEN, SAMPLE, golden_fields, invocations, shown
 
 VALUE_RTOL = 5e-15
@@ -33,8 +33,14 @@ SLOPES = {"C", "# C"}
 ERRORS = {"errors", "eps", "eps_n", "R", "# R", "tol", "delta"}
 SERIES = {"values", "Q", "p", "rows.p", "beta_bar", "oracle"}
 # names of the csv columns that have no "# columns:" header
-CSV_COLUMNS = {"rule": ("order", "nodes", "weights"),
+CSV_COLUMNS = {"rule": ("i", "nodes", "weights"),
                "converge": ("orders", "values", "errors")}
+# the json fields that hold, in order, the numbers of a csv field that json
+# names otherwise; every other csv field's twin is the json field of its name
+JSON_TWINS = {"report": {"eps_n": ("eps",), "# II": ("II",)},
+              "converge": {"# C": ("C", "fit_window"), "# R": ("R",),
+                           "# converged exactly, R": ("R",), "# II": ("II",)},
+              "table3": {name: ("rows." + name,) for name in ("type", "p", "q", "beta_bar")}}
 
 GOLDEN_ENTRIES = json.loads(GOLDEN.read_text(encoding="utf-8"))
 CORPUS = list(invocations())
@@ -153,14 +159,48 @@ def test_golden_comparison_catches_changes(corpus_cache):
         "exit code 0 -> 3", "stderr '' -> 'avgkernel: failed\\n'"]
 
 
+def numbers(values):
+    """The numbers a field's values hold, in order, as floats: a text holds
+    those written in it, and json's null and an empty csv cell none."""
+    found = []
+    for value in values:
+        if isinstance(value, str):
+            found.extend(map(float, _NUMBER.findall(value)))
+        elif value is not None:
+            found.append(float(value))
+    return found
+
+
+def csv_json_pairs():
+    """The golden's (csv, json) entry pairs of one invocation each."""
+    by_args = {}
+    for entry in GOLDEN_ENTRIES:
+        args = entry["args"]
+        at = args.index("--format")
+        by_args.setdefault((*args[:at], *args[at + 2:]), {})[args[at + 1]] = entry
+    return [(pair["csv"], pair["json"]) for pair in by_args.values()]
+
+
 def test_json_samples_match_csv_twin():
-    # the json rule keeps every SAMPLE-th node and weight and the last;
-    # its csv twin, which holds them all, has the same numbers there
-    entries = {entry["args"][-1]: entry for entry in GOLDEN_ENTRIES
-               if entry["args"][:3] == ["rule", "--points", "2000"]}
-    csv = named("rule", entries["csv"]["fields"])
-    for name in ("nodes", "weights"):
-        sampled = entries["json"]["fields"][name]
-        full = [float(value) for value in csv[name]]
-        assert len(full) == 2000 and len(sampled) == 2000 // SAMPLE + 1
-        assert sampled == full[::SAMPLE] + full[-1:]
+    # the csv and json runs of one invocation print the same numbers: json
+    # keeps every SAMPLE-th value and the last of a long field, as the
+    # golden does, so its csv twin is sampled alike
+    compared = set()
+    for csv_entry, json_entry in csv_json_pairs():
+        command = csv_entry["args"][0]
+        csv, payload = named(command, csv_entry["fields"]), json_entry["fields"]
+        for name, values in csv.items():
+            twins = JSON_TWINS.get(command, {}).get(name, (name,))
+            if not all(twin in payload for twin in twins):
+                continue
+            if name == "# R" and payload["R"] == [None]:
+                continue  # "# R = no estimate (C >= -1)": its number bounds C
+            if len(values) > SAMPLE:
+                values = values[::SAMPLE] + values[-1:]
+            expected = numbers(value for twin in twins for value in payload[twin])
+            assert numbers(values) == expected, (shown(csv_entry["args"]), name)
+            compared.add((command, name))
+    assert {command for command, _ in compared} == {
+        "rule", "converge", "report", "table3", "check"}
+    assert {("rule", "nodes"), ("converge", "# C"), ("converge", "# R"), ("report", "eps_n"),
+            ("table3", "p"), ("table3", "q"), ("check", "tol")} <= compared
