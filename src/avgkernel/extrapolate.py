@@ -52,44 +52,24 @@ def error_sequence(values: list[float]) -> list[float]:
 
 
 def fit_slope(points) -> float:
-    """Least-squares slope of ln eps_n against ln n over the points (n, eps_n).
-
-    Zero entries are skipped (their log is undefined); fewer than two
-    remaining points is a degenerate fit.  The slope is the closed form
-    sum(dn de) / sum(dn^2), dn and de the logs centred on their math.fsum
-    means, with each sum of products rounded once by _dot.  On power-law
-    points that is within about one ulp of the exact least-squares slope
-    of these logs; only where the slope is near zero against the scatter
-    of the points does the rounding of the centring show, amplified.
-    Plain Python floats: no numpy, and no LAPACK call.
+    """Least-squares slope of ln eps_n against ln n over the points (n, eps_n),
+    correctly rounded.  Zero entries are skipped (their log is undefined);
+    fewer than two left is a degenerate fit.  Each log times 2^1074 is an
+    exact int, so the sums below are exact and their one int/int division
+    rounds the slope correctly: plain Python ints, no numpy or LAPACK call.
     """
-    pts = [(math.log(n), math.log(e)) for n, e in points if e > 0.0]
+    pts = [(_scaled(math.log(n)), _scaled(math.log(e))) for n, e in points if e > 0.0]
     if len(pts) < 2:
         raise DegenerateFitError(f"fit points with a positive error: {len(pts)}, need 2")
-    mean_n = math.fsum(x for x, _ in pts) / len(pts)
-    mean_e = math.fsum(y for _, y in pts) / len(pts)
-    dn = [x - mean_n for x, _ in pts]
-    de = [y - mean_e for _, y in pts]
-    return _dot(dn, de) / _dot(dn, dn)
+    m, sx, sy = len(pts), sum(x for x, _ in pts), sum(y for _, y in pts)
+    sxy, sxx = sum(x * y for x, y in pts), sum(x * x for x, _ in pts)
+    return (m * sxy - sx * sy) / (m * sxx - sx * sx)
 
 
-def _dot(u: list[float], v: list[float]) -> float:
-    """sum(u_i v_i), rounded once.  Each product is taken as the four
-    products of its factors' 26-bit halves, which a float holds exactly
-    (Dekker 1971), and math.fsum adds them without intermediate rounding."""
-    terms = []
-    for a, b in zip(u, v):
-        ah, al = _halves(a)
-        bh, bl = _halves(b)
-        terms += (ah * bh, ah * bl, al * bh, al * bl)
-    return math.fsum(terms)
-
-
-def _halves(v: float) -> tuple[float, float]:
-    """v as hi + lo, each of at most 26 significant bits (Veltkamp's split)."""
-    c = 134217729.0 * v  # 2^27 + 1
-    hi = c - (c - v)
-    return hi, v - hi
+def _scaled(v: float) -> int:
+    """v * 2^1074, exactly: every finite float is an integer multiple of 2^-1074."""
+    num, den = v.as_integer_ratio()
+    return (num << 1074) // den
 
 
 def remainder_estimate(eps_n: float, C: float, n: int) -> float | None:
