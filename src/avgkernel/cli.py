@@ -61,11 +61,12 @@ def _keep_freed_memory() -> None:
 
 
 def _kernel(args):
-    """The --kernel spec; an asymmetric kernel gets a warning on stderr."""
+    """The --kernel spec; an asymmetric kernel, or one whose declared q is
+    not its sampled degree, gets a warning on stderr."""
     spec = parse_kernel(args.kernel)
-    if spec.symmetry_warning is not None:
-        print(f"avgkernel: warning: kernel {spec.label!r} {spec.symmetry_warning}",
-              file=sys.stderr)
+    for warning in (spec.symmetry_warning, spec.degree_warning):
+        if warning is not None:
+            print(f"avgkernel: warning: kernel {spec.label!r} {warning}", file=sys.stderr)
     return spec
 
 

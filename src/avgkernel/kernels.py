@@ -51,13 +51,16 @@ class KernelSpec:
     """A symmetric homogeneous collision kernel ready for quadrature.
 
     source is a builtin id (FM | CR | SC | SD) or a parsed expression tree;
-    symmetry_warning is None unless sampling found the kernel asymmetric.
+    symmetry_warning is None unless sampling found the kernel asymmetric,
+    and degree_warning None unless it found a degree other than the
+    declared q.
     """
 
     source: object
     degree_q: float | None
     label: str
     symmetry_warning: str | None = None
+    degree_warning: str | None = None
 
 
 def _beta_sc(x, y):
@@ -312,7 +315,9 @@ def parse_kernel(text: str) -> KernelSpec:
 
     An optional "q=<number>;" prefix fixes the homogeneity degree, which is
     otherwise estimated numerically (and must exist).  Symmetry is checked
-    by sampling; an asymmetric kernel parses but carries a warning.
+    by sampling; an asymmetric kernel parses but carries a warning.  So
+    does a declared q more than 1e-6 from the degree the samples give,
+    when they give one.
     """
     if text.strip().upper() in _BUILTINS:
         return builtin_kernel(text)
@@ -332,4 +337,19 @@ def parse_kernel(text: str) -> KernelSpec:
     label = " ".join(text.split())
     unsampled = KernelSpec(tree, q, label)
     warning = _verify_symmetry(unsampled)
-    return KernelSpec(tree, homogeneity_degree(unsampled) if q is None else q, label, warning)
+    if q is None:
+        return KernelSpec(tree, homogeneity_degree(unsampled), label, warning)
+    return KernelSpec(tree, q, label, warning, _degree_warning(unsampled, q))
+
+
+def _degree_warning(spec: KernelSpec, q: float) -> str | None:
+    """A warning when the sampled degree of spec is more than 1e-6 from its
+    declared q; None when they agree, or when the samples give no single
+    degree, which is the case a declared q exists for."""
+    try:
+        sampled = homogeneity_degree(spec)
+    except (NonHomogeneousError, KernelDomainError):
+        return None
+    if abs(sampled - q) > 1e-6:
+        return f"declares q = {q:.6g}, but its sampled degree is {sampled:.6g}"
+    return None

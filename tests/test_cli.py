@@ -552,7 +552,8 @@ def _entry(argv, stdout=subprocess.PIPE, **popen):
 
 @pytest.mark.parametrize("argv, code, err", [
     (["rule", "--points", "2000", "--cache-dir", ""], 0, ""),
-    (["check", "--kernel", "q=0.5; 2", "--max-points", "21", "--cache-dir", ""], 1, ""),
+    (["check", "--kernel", "q=0.5; 2", "--max-points", "21", "--cache-dir", ""], 1,
+     "avgkernel: warning: kernel 'q=0.5; 2' declares q = 0.5, but its sampled degree is 0\n"),
     (["rule", "--points", "2001"], 2, "avgkernel: --points must be <= 2000\n"),
     (["rule", "--points", "5", "--cache-dir", "{file}"], 3,
      f"avgkernel: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{{file}}'\n"),
@@ -622,7 +623,8 @@ _FOOTPRINT_IN_CHILD = """\
 import sys
 from avgkernel import cli
 rc = cli.main([*{argv!r}, "--cache-dir", "", "--format", {fmt!r}])
-print(rc, *(name in sys.modules for name in ("numpy.random", "json")), file=sys.stderr)
+print(rc, *(name in sys.modules for name in ("numpy.random", "fractions", "decimal", "json")),
+      file=sys.stderr)
 """
 _EXPRESSION = "(x^(1/6)+y^(1/6))*(x^(1/3)+y^(1/3))"
 
@@ -635,11 +637,11 @@ _EXPRESSION = "(x^(1/6)+y^(1/6))*(x^(1/3)+y^(1/3))"
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("fmt, json_loaded", [("csv", False), ("json", True)])
 def test_each_command_imports_only_what_it_runs(argv, fmt, json_loaded):
-    # an expression kernel is sampled without numpy.random, and only a
-    # JSON run loads json
+    # an expression kernel is sampled without numpy.random, the exact slope
+    # fit needs neither fractions nor decimal, and only a JSON run loads json
     code = _FOOTPRINT_IN_CHILD.format(argv=argv, fmt=fmt)
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-    assert cp.stderr == f"0 False {json_loaded}\n"
+    assert cp.stderr == f"0 False False False {json_loaded}\n"
 
 
 _OPENSSL_IN_CHILD = """\
@@ -821,16 +823,33 @@ def test_line_break_in_a_kernel_stays_in_its_csv_row(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("kernel, q", [("q=40; 1e300*(x+y)", "40.0"), ("q=2000; x+y", "2000.0")],
+@pytest.mark.parametrize("kernel, q", [("q=40; 1e300*(x+y)", "40"), ("q=2000; x+y", "2000")],
                          ids=["beta_bar overflows", "u^q overflows"])
 def test_check_overflowing_beta_bar_exits_3(kernel, q, fmt, capsys):
     # no infe0 row, no Infinity in the json and no bare errno text: the
-    # u = 2 row stops the command before anything is written
+    # u = 2 row stops the command before anything is written; the kernel's
+    # sampled degree is 1, not the declared q, which a warning says first
     argv = ["check", "--kernel", kernel, "--max-points", "20", "--format", fmt,
             "--cache-dir", ""]
     assert cli.main(argv) == 3
     assert capsys.readouterr() == (
-        "", f"avgkernel: beta_bar = p*u^q or R*u^q is not finite at u = 2, q = {q}\n")
+        "", f"avgkernel: warning: kernel {kernel!r} declares q = {q}, but its sampled degree is 1\n"
+            f"avgkernel: beta_bar = p*u^q or R*u^q is not finite at u = 2, q = {q}.0\n")
+
+
+@pytest.mark.parametrize("kernel, warning", [
+    ("q=3; x*y", "avgkernel: warning: kernel 'q=3; x*y' declares q = 3, but its sampled degree is 2\n"),
+    ("q=2; x*y", ""),
+    ("q=1; x + y + x*y", ""),
+], ids=["wrong q", "right q", "not homogeneous"])
+def test_report_warns_of_a_declared_q_that_is_not_the_sampled_degree(kernel, warning, capsys):
+    # stdout and the exit code do not change; a kernel with no single
+    # degree, which q= exists for, gets no warning
+    argv = ["report", "--kernel", kernel, "--max-points", "30", "--cache-dir", ""]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("# columns:")
+    assert err == warning
 
 
 def test_oracle_overflow_writes_one_line_to_stderr(cache_dir):
