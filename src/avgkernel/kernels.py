@@ -339,17 +339,10 @@ def parse_kernel(text: str) -> KernelSpec:
     warning = _verify_symmetry(unsampled)
     if q is None:
         return KernelSpec(tree, homogeneity_degree(unsampled), label, warning)
-    return KernelSpec(tree, q, label, warning, _degree_warning(unsampled, q))
-
-
-def _degree_warning(spec: KernelSpec, q: float) -> str | None:
-    """A warning when the sampled degree of spec is more than 1e-6 from its
-    declared q; None when they agree, or when the samples give no single
-    degree, which is the case a declared q exists for."""
     try:
-        sampled = homogeneity_degree(spec)
+        sampled = homogeneity_degree(unsampled)
     except (NonHomogeneousError, KernelDomainError):
-        return None
-    if abs(sampled - q) > 1e-6:
-        return f"declares q = {q:.6g}, but its sampled degree is {sampled:.6g}"
-    return None
+        sampled = q  # no single degree to check: the case q= exists for
+    degree_warning = f"declares q = {q:.6g}, but its sampled degree is {sampled:.6g}"
+    return KernelSpec(tree, q, label, warning,
+                      degree_warning if abs(sampled - q) > 1e-6 else None)

@@ -10,6 +10,8 @@ sample loops are the one-pair-at-a-time forms of the kernel sampling that
 parse_kernel does in array calls, which must give the same degree, warning
 and exception.  version_4_file writes a rule as the rule cache's format
 version 4 held it, for the tests that a newer reader rebuilds such a file.
+random_mixture draws a homogeneous kernel whose Q is known in closed form,
+for the study of the remainder estimate R in estimator_study.py.
 """
 
 import hashlib
@@ -149,3 +151,22 @@ def version_4_file(rule) -> str:
                    for x, w in zip(rule.nodes, rule.weights))
     body = f"# gauss-laguerre order={rule.order} flushed={flushed} version=4\n{rows}"
     return f"{body}# sha256={hashlib.sha256(body.encode('ascii')).hexdigest()}\n"
+
+
+def random_mixture(rng) -> tuple[str, float]:
+    """A kernel text, with its degree q declared, and its exact Q.
+
+    q ~ U(0.3, 3), and 1 to 3 terms c (x^a y^b + x^b y^a) with b = q - a,
+    a ~ U(-0.95, q/2) and c log-uniform in [1e-3, 30].  Each term integrates
+    against e^(-x-y) to 2 c Gamma(a+1) Gamma(b+1), so near a = -1 its tail
+    converges slowly, and a mix of terms need not follow one power law.
+    """
+    q = rng.uniform(0.3, 3.0)
+    terms, exact = [], 0.0
+    for _ in range(rng.randint(1, 3)):
+        a = rng.uniform(-0.95, q / 2)
+        b = q - a
+        c = 10.0 ** rng.uniform(-3.0, math.log10(30.0))
+        terms.append(f"{c!r}*(x^{a!r}*y^{b!r} + x^{b!r}*y^{a!r})")
+        exact += 2.0 * c * math.gamma(a + 1.0) * math.gamma(b + 1.0)
+    return f"q={q!r}; " + " + ".join(terms), exact
