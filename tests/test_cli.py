@@ -843,8 +843,8 @@ def test_check_overflowing_beta_bar_exits_3(kernel, q, fmt, capsys):
     ("q=1; x + y + x*y", ""),
 ], ids=["wrong q", "right q", "not homogeneous"])
 def test_report_warns_of_a_declared_q_that_is_not_the_sampled_degree(kernel, warning, capsys):
-    # stdout and the exit code do not change; a kernel with no single
-    # degree, which q= exists for, gets no warning
+    # the warning leaves the exit code at 0 and stdout written; a kernel
+    # with no single degree, which q= exists for, gets none
     argv = ["report", "--kernel", kernel, "--max-points", "30", "--cache-dir", ""]
     assert cli.main(argv) == 0
     out, err = capsys.readouterr()
