@@ -15,7 +15,7 @@ import signal
 import sys
 
 from .average import ORACLE_RTOL, at_u, population_average_oracle, pre_exponential_factor
-from .extrapolate import FIT_ORDERS, error_sequence, fit_orders, fit_window
+from .extrapolate import FIT_ORDERS, fit_orders, fit_window
 from .kernels import BUILTIN_IDS, builtin_kernel, parse_kernel
 from .rules import default_cache_dir
 from .tensor_quad import load_rules
@@ -160,7 +160,7 @@ def cmd_converge(args, cache_dir, emit):
     window = _fit_window(args, k_max)
     result = pre_exponential_factor(spec, load_rules(range(1, k_max + 1), cache_dir), window)
     values, fit = result.values, result.fit
-    eps = error_sequence(values)
+    eps = [abs(b - a) for a, b in zip(values, values[1:])]
     payload = {
         "kernel": spec.label,
         "k_max": k_max,

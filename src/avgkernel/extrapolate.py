@@ -44,13 +44,6 @@ class Fit:
     remainder: float | None
 
 
-def error_sequence(values: list[float]) -> list[float]:
-    """|Q_{n+1} - Q_n| of successive values of a series."""
-    if len(values) < 2:
-        raise ValueError("need at least 2 series entries")
-    return [abs(b - a) for a, b in zip(values, values[1:])]
-
-
 def fit_slope(points) -> float:
     """Least-squares slope of ln eps_n against ln n over the points (n, eps_n),
     correctly rounded.  Zero entries are skipped (their log is undefined);

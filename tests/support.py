@@ -45,7 +45,7 @@ def laguerre_derivative_series(k, x):
 def recurrence_scaled_stepwise(k, x):
     """Scalar (L_{k-1}, L_k) mantissas and shift, renormalized every step.
 
-    The straightforward loop that avgkernel.laguerre._recurrence_scaled
+    The straightforward loop that avgkernel.rules._recurrence_scaled
     speeds up: it rescales by a power of two whenever a term leaves
     [2**-512, 2**512].  Power-of-two rescaling is exact, so both must give
     the same values prev * 2**shift and cur * 2**shift.

@@ -12,7 +12,6 @@ from avgkernel.extrapolate import (
     FIT_SAMPLES,
     DegenerateFitError,
     Fit,
-    error_sequence,
     fit_orders,
     fit_slope,
     fit_window,
@@ -34,15 +33,6 @@ def power_law_series(k_max, exponent, base=0.0):
 def dense_report(values, window=None):
     """full_report of the series Q_1..Q_k given by values."""
     return full_report(range(1, len(values) + 1), values, window)
-
-
-def test_error_sequence_basic():
-    assert error_sequence([0.0, 1.0, 1.5]) == [1.0, 0.5]
-
-
-def test_error_sequence_needs_two_points():
-    with pytest.raises(ValueError):
-        error_sequence([2.0])
 
 
 def test_fit_slope_recovers_exact_power_law():
@@ -225,7 +215,7 @@ def test_full_report_recovers_power_law():
     fit = dense_report(values)
     assert fit.status == "estimated"
     # the anchor is eps_39 = |Q_40 - Q_39|
-    errors = error_sequence(values)
+    errors = [abs(b - a) for a, b in zip(values, values[1:])]
     assert fit.slope == fit_slope((n, errors[n - 1]) for n in SAMPLED_40)
     assert errors[38] == fit.anchor_error
     assert fit.anchor_error == pytest.approx(39.0**-2.0, rel=1e-13)
@@ -263,7 +253,7 @@ def test_full_report_floor_keeps_fit_points():
     for n in (22, 24, 27):
         step = values[n] - values[n - 1] - 1e-9
         values[n:] = [v - step for v in values[n:]]
-    errors = error_sequence(values)
+    errors = [abs(b - a) for a, b in zip(values, values[1:])]
     assert [n for n, e in enumerate(errors, start=1) if 0.0 < e <= 1e-7] == [22, 24, 27]
     # what fitting the floor would give
     assert fit_slope((n, errors[n - 1]) for n in SAMPLED_40) > -1.0

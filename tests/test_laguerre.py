@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgkernel.laguerre import _recurrence_scaled
+from avgkernel.rules import _recurrence_scaled
 from fractions import Fraction
 
 from support import laguerre_derivative_series, laguerre_series, recurrence_scaled_stepwise

@@ -64,6 +64,12 @@ def run_traced(argv, tmp_path):
     return tracer_module, tracer
 
 
+def test_tracer_wraps_the_recurrence_the_rules_call():
+    # avgkernel.laguerre is only an alias of the recurrence in avgkernel.rules,
+    # kept because the tracer imports it and wraps its attribute
+    assert laguerre._recurrence_scaled is rules._recurrence_scaled
+
+
 def test_tracer_counts_table3_layers(tmp_path):
     tracer_module, tracer = run_traced(["table3", "--max-points", "21"], tmp_path)
     layers = tracer_module.layer_metrics(tracer)
