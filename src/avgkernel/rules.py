@@ -144,18 +144,16 @@ def _recurrence_scaled(k: int, x, degree):
     """Run the recurrence with joint power-of-two renormalization, elementwise.
 
     x is an array of floats and degree an integer array of the same length,
-    each entry in 1..k.  Returns (prev, cur, shift), arrays of x's length,
-    where L_{d-1}(x) = prev * 2**shift and L_d(x) = cur * 2**shift for the
-    element's degree d.  k - 1 steps run; an element stops taking them once
-    it reaches its degree.
+    each entry in 1..k, largest first.  Returns (prev, cur, shift), arrays
+    of x's length, where L_{d-1}(x) = prev * 2**shift and L_d(x) = cur *
+    2**shift for the element's degree d.  k - 1 steps run; an element stops
+    taking them once it reaches its degree.
     """
     # largest degree first, so the elements still running are a prefix:
     # live[n] of them take step n.  L_n is terms[n % 2], and step n writes
     # L_{n+1} over L_{n-1}, so a finished element keeps its terms in place
     descending = -np.asarray(degree)
-    order = np.argsort(descending, kind="stable")
-    x = np.asarray(x, dtype=float)[order]
-    live = np.searchsorted(descending[order], -np.arange(k)).tolist()
+    live = np.searchsorted(descending, -np.arange(k)).tolist()
     terms = (np.ones(len(x)), 1.0 - x)
     shift = np.zeros(len(x), dtype=np.int64)
     # Renormalizing by a power of two is exact, so how often it happens
@@ -173,22 +171,20 @@ def _recurrence_scaled(k: int, x, degree):
             prev[...], cur[...] = np.ldexp(prev, -e), np.ldexp(cur, -e)
             shift[:a] += e
         prev[...] = ((2 * n + 1 - x[:a]) * cur - n * prev) / (n + 1)
-    even = descending[order] % 2 == 0
+    even = descending % 2 == 0
     terms[0][even], terms[1][even] = terms[1][even], terms[0][even]
-    result = tuple(np.empty_like(v) for v in (*terms, shift))
-    for values, v in zip(result, (*terms, shift)):
-        values[order] = v
-    return result
+    return (*terms, shift)
 
 
 def _polish(degree: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Newton-polish zeros of Laguerre polynomials at once.
 
     z[i] is a zero of L_{degree[i]}; one array may hold the zeros of many
-    orders.  A node stops when its Newton step falls below the rounding
-    noise or stops shrinking (at least half the one before): a converged
-    iterate only wanders within the noise of L_k's evaluation.  Every node
-    keeps the Newton correction computed from its last evaluation.
+    orders, largest order first, and the nodes a pass hands the recurrence
+    keep that order.  A node stops when its Newton step falls below the
+    rounding noise or stops shrinking (at least half the one before): a
+    converged iterate only wanders within the noise of L_k's evaluation.
+    Every node keeps the Newton correction computed from its last evaluation.
     """
     z = z.copy()
     last = np.full(len(z), np.inf)
@@ -233,21 +229,23 @@ def compute_rules(orders) -> list[QuadratureRule]:
 
 
 def _build_group(orders: list[int]) -> list[QuadratureRule]:
-    """compute_rules for one group, whose nodes share one array."""
-    degree = np.repeat(orders, orders)
-    seeds = _seeds(orders)
+    """compute_rules for one group, whose nodes share one array: each order
+    once, largest first, as the recurrence takes them; rules in orders' order."""
+    layout = sorted(set(orders), reverse=True)
+    degree = np.repeat(layout, layout)
+    seeds = _seeds(layout)
     nodes = _polish(degree, seeds)
     # weights 1 / (x L_k'(x)^2) = x / (k (L_k(x) - L_{k-1}(x)))^2 at the
     # zeros: a node error reaches the weight about 1:1 through L_k'
-    prev, cur, shift = _recurrence_scaled(max(orders), nodes, degree)
+    prev, cur, shift = _recurrence_scaled(layout[0], nodes, degree)
     mant, exp = np.frexp(degree * (cur - prev))
     weights = np.ldexp(nodes / (mant * mant), -2 * (exp + shift))
     # below the smallest normal double the tail contribution is noise
     weights[weights < _MIN_NORMAL] = 0.0
-    bounds = np.cumsum(orders)[:-1]
-    rules = []
+    bounds = np.cumsum(layout)[:-1]
+    rules = {}
     for k, own_seeds, own_nodes, own_weights in zip(
-            orders, *(np.split(a, bounds) for a in (seeds, nodes, weights))):
+            layout, *(np.split(a, bounds) for a in (seeds, nodes, weights))):
         # L_k has exactly k zeros: k converged nodes spaced like their
         # seeds are all of them, none found twice
         spacing = np.diff(own_nodes) / np.diff(own_seeds)
@@ -257,8 +255,8 @@ def _build_group(orders: list[int]) -> list[QuadratureRule]:
         if problem is not None:
             raise ConvergenceError(f"rule of order {k} failed validation: {problem}")
         # each rule owns its arrays, allocated as a one-order build's are
-        rules.append(_read_only_rule(k, own_nodes.copy(), own_weights.copy()))
-    return rules
+        rules[k] = _read_only_rule(k, own_nodes.copy(), own_weights.copy())
+    return [rules[k] for k in orders]
 
 
 def compute_rule(k: int) -> QuadratureRule:

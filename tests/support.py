@@ -12,6 +12,8 @@ and exception.  version_4_file writes a rule as the rule cache's format
 version 4 held it, for the tests that a newer reader rebuilds such a file.
 random_mixture draws a homogeneous kernel whose Q is known in closed form,
 for the study of the remainder estimate R in estimator_study.py.
+reduced_q is the exact 1D reduction of Q, an independent reference for the
+2D Gauss-Laguerre sums.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from avgkernel.average import _de_axes
 from avgkernel.kernels import _SAMPLES, KernelSpec, NonHomogeneousError, eval_kernel
 
 
@@ -170,3 +173,17 @@ def random_mixture(rng) -> tuple[str, float]:
         terms.append(f"{c!r}*(x^{a!r}*y^{b!r} + x^{b!r}*y^{a!r})")
         exact += 2.0 * c * math.gamma(a + 1.0) * math.gamma(b + 1.0)
     return f"q={q!r}; " + " + ".join(terms), exact
+
+
+def reduced_q(spec: KernelSpec, h: float = 0.125) -> float:
+    """Q = int int beta(x, y) e^(-x-y) dx dy by its exact 1D reduction.
+
+    For beta homogeneous of degree q, s = x + y and t = x / s give
+    Q = Gamma(q+2) int_0^1 beta(t, 1-t) dt.  The t integral is summed on
+    the oracle's tanh-sinh axis average._de_axes(h), 74 nodes on (0, 1/2]
+    at h = 1/8, with beta taken both ways round to cover (1/2, 1).  It
+    trusts the declared q.
+    """
+    t, r, wt, _, _ = _de_axes(h)
+    folded = eval_kernel(spec, t, r) + eval_kernel(spec, r, t)
+    return math.gamma(spec.degree_q + 2.0) * float(np.sum(wt * folded))

@@ -1,6 +1,9 @@
 import dataclasses
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +24,13 @@ from avgkernel.extrapolate import Fit, fit_slope, full_report
 from avgkernel.kernels import builtin_kernel, eval_kernel, parse_kernel
 from avgkernel.rules import load_or_compute_rule
 from avgkernel.tensor_quad import integrate_2d, load_rules
-from support import integrate_2d_full_grid
+from support import integrate_2d_full_grid, random_mixture, reduced_q
 
 # closed forms precomputed with a 50-digit library: 2 + 6*gamma(5/3)*gamma(4/3)
 # halved, and 2 + 2*gamma(4/3)*gamma(2/3) halved
 P_EXACT_SC = 3.418399152312290
 P_EXACT_CR = 2.209199576156145
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
 def result_with(p, q, fit=Fit("exact", (10, 19), None, None, 0.0)):
@@ -264,6 +268,30 @@ def test_oracle_matches_extended_precision_reduction(kernel):
     for u in (0.5, 1.0, 2.0):
         got = population_average_oracle(spec, u)
         assert got == pytest.approx(p * u**spec.degree_q, rel=1e-12), u
+
+
+def test_reduction_matches_frozen_references():
+    # FM and SD against the 30-digit mpmath values of references.json, SC
+    # and CR against their closed forms
+    q_1d = json.loads(REFERENCES.read_text(encoding="utf-8"))["q_1d"]
+    for kid, q, rtol in (("FM", float(q_1d["FM"]), 4e-16), ("SD", float(q_1d["SD"]), 4e-16),
+                         ("SC", 2.0 * P_EXACT_SC, 5e-16), ("CR", 2.0 * P_EXACT_CR, 5e-16)):
+        assert abs(reduced_q(builtin_kernel(kid)) - q) <= rtol * q, kid
+
+
+def test_reduction_needs_its_step():
+    # at h = 1/4 the t axis is too coarse: FM moves by about 5.5e-13
+    fm = float(json.loads(REFERENCES.read_text(encoding="utf-8"))["q_1d"]["FM"])
+    assert abs(reduced_q(builtin_kernel("FM"), h=0.25) - fm) > 1e-13 * fm
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reduction_matches_random_mixtures(seed):
+    # the estimator study's kernels, whose Q is known in closed form; 300
+    # draws of Random(3) stay within 1.4e-15
+    kernel, exact = random_mixture(random.Random(seed))
+    assert abs(reduced_q(parse_kernel(kernel)) - exact) <= 4e-15 * exact, kernel
 
 
 @pytest.mark.parametrize("kernel, p, q, rtol, rel", [

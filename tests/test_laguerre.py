@@ -85,9 +85,11 @@ def test_recurrence_matches_stepwise_reference_bitwise():
         got = [_normalized_values(float(p), float(c), int(s))
                for p, c, s in zip(prev, cur, shift)]
         assert got == expected
-    # one call with a degree per element, in no particular order
+    # one call with a degree per element, largest first, as rules lays out a group
     degrees = np.array([7, 400, 1, 80, 2, 361, 1, 400, 80] * len(xs))
     x = np.repeat(xs, 9)
+    order = np.argsort(-degrees, kind="stable")
+    degrees, x = degrees[order], x[order]
     expected = [_normalized_values(*recurrence_scaled_stepwise(int(k), v))
                 for k, v in zip(degrees, x)]
     prev, cur, shift = _recurrence_scaled(400, x, degrees)
@@ -99,12 +101,12 @@ def test_recurrence_matches_stepwise_reference_bitwise():
 @st.composite
 def recurrence_inputs(draw):
     """k in 1..400 and 1 to 40 elements: x is 0 or in [0, 4k+2], and the
-    degrees are in 1..k, in any order and with repeats."""
+    degrees are in 1..k, largest first and with repeats."""
     k = draw(st.integers(1, 400))
     size = draw(st.integers(1, 40))
     point = st.one_of(st.just(0.0), st.floats(0.0, 4.0 * k + 2.0))
     x = draw(st.lists(point, min_size=size, max_size=size))
-    degree = draw(st.lists(st.integers(1, k), min_size=size, max_size=size))
+    degree = sorted(draw(st.lists(st.integers(1, k), min_size=size, max_size=size)), reverse=True)
     return k, np.array(x), np.array(degree)
 
 

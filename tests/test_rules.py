@@ -253,16 +253,36 @@ def test_batches_stay_within_the_node_bound(monkeypatch):
     recurrence = rules._recurrence_scaled
 
     def counted(k, x, degree):
-        calls.append((k, np.size(x)))
+        calls.append((k, np.size(x), bool(np.all(np.diff(degree) <= 0))))
         return recurrence(k, x, degree)
 
     monkeypatch.setattr(rules, "_recurrence_scaled", counted)
     built = compute_rules([3, 30, 9, 50, 12])
     assert [rule.order for rule in built] == [3, 30, 9, 50, 12]
     # the groups are {3, 30}, {9}, {50} and {12}: each weight pass runs
-    # to the group's largest order over all its nodes
-    assert {(30, 33), (9, 9), (50, 50), (12, 12)} <= set(calls)
-    assert all(size <= 40 for k, size in calls if k < 50)
+    # to the group's largest order over all its nodes, and every call gets
+    # its degrees largest first
+    assert {(30, 33), (9, 9), (50, 50), (12, 12)} <= {(k, size) for k, size, _ in calls}
+    assert all(size <= 40 for k, size, _ in calls if k < 50)
+    assert all(descending for _, _, descending in calls)
+    monkeypatch.undo()
+    for rule in built:
+        assert _same_rule(rule, compute_rule(rule.order)), rule.order
+
+
+def test_repeated_orders_are_built_once(monkeypatch):
+    sizes = []
+    recurrence = rules._recurrence_scaled
+
+    def counted(k, x, degree):
+        sizes.append(np.size(x))
+        return recurrence(k, x, degree)
+
+    monkeypatch.setattr(rules, "_recurrence_scaled", counted)
+    built = compute_rules([7, 7, 3])
+    assert [rule.order for rule in built] == [7, 7, 3]
+    # one group of 7 + 3 nodes: its first Newton pass and its weight pass
+    assert sizes[0] == sizes[-1] == 10
     monkeypatch.undo()
     for rule in built:
         assert _same_rule(rule, compute_rule(rule.order)), rule.order
